@@ -11,6 +11,8 @@ harness (``fcshmc.harness``, CLI ``fcshmc``) reproduces the stability,
 efficiency, convergence, and cost experiments.
 """
 
+__version__ = "0.1.0"
+
 from .harness import (
     ExperimentConfig,
     apply_overrides,
@@ -82,5 +84,3 @@ from .sampler import (
     run_chain,
 )
 from .tridiag import SingularSystemError, TridiagonalOperator, thomas_solve, tridiag_matvec
-
-__version__ = "0.1.0"

@@ -4,8 +4,9 @@ Usage:  fcshmc EXPERIMENT [--config FILE] [--out DIR] [--seed N] [flag overrides
 
 Configuration is resolved in three layers: per-experiment defaults, then a
 flat ``key = value`` config file (--config), then individual CLI flags.
-Flag names equal config keys.  Exit codes: 0 success, 1 usage error,
-2 I/O error, 3 invalid numerical setup.
+Flag names equal config keys; the flag table is ``harness.CONFIG_KEYS``,
+derived from the config dataclass fields.  Exit codes: 0 success, 1 usage
+error, 2 I/O error, 3 invalid numerical setup.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import EXPERIMENTS, apply_overrides, default_config, read_config_file
+from .harness import CONFIG_KEYS, EXPERIMENTS, apply_overrides, default_config, read_config_file
 
 __all__ = ["main"]
 
@@ -21,14 +22,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_SETUP = 3
-
-_CONFIG_FLAGS: list[tuple[str, type]] = [
-    ("D", float), ("I_ref", float), ("I_bg", float), ("omega", float),
-    ("tau_dead", float), ("tau_exp", float), ("N", int), ("K", int),
-    ("theta", float), ("mass", float), ("h", float), ("L", int),
-    ("updates", int), ("seed", int), ("thin", int),
-    ("updates_per_point", int), ("reference_h", float), ("repeats", int),
-]
 
 
 class _UsageError(Exception):
@@ -46,12 +39,8 @@ def _build_parser() -> _Parser:
     for name, fn in EXPERIMENTS.items():
         p = sub.add_parser(name, help=fn.__doc__.split("\n")[0].rstrip("."))
         p.add_argument("--config", default=None, help="flat key = value config file")
-        p.add_argument("--out", default=None, help="output directory (default runs/)")
-        p.add_argument("--sweep", default=None,
-                       help="comma-separated sweep values (h, or K for complexity)")
-        p.add_argument("--scheme", default=None, choices=["svex", "imex"])
-        for key, typ in _CONFIG_FLAGS:
-            p.add_argument(f"--{key}", type=typ, default=None, dest=key)
+        for key, (_, _, parse) in CONFIG_KEYS.items():
+            p.add_argument(f"--{key}", type=parse, default=None, dest=key)
     return parser
 
 
@@ -78,8 +67,7 @@ def main(argv=None) -> int:
         except ValueError as err:
             print(f"fcshmc: bad config file: {err}", file=sys.stderr)
             return EXIT_USAGE
-    flag_mapping = {key: getattr(ns, key) for key, _ in _CONFIG_FLAGS}
-    flag_mapping.update(out=ns.out, sweep=ns.sweep, scheme=ns.scheme)
+    flag_mapping = {key: getattr(ns, key) for key in CONFIG_KEYS}
     try:
         for mapping in (file_mapping, flag_mapping):
             config = apply_overrides(config, mapping)

@@ -3,7 +3,10 @@
 Each ``exp_*`` function consumes an :class:`ExperimentConfig`, runs one
 experiment end to end, writes timestamped CSV files plus a ``run_meta`` text
 file into the output directory, and returns its numerical results so callers
-(tests, demo scripts) can analyse them without re-parsing the CSVs.
+(tests, demo scripts) can analyse them without re-parsing the CSVs.  The
+shared runner (:func:`_experiment`) owns the output directory, the stamp,
+the wall timer and ``run_meta``; each experiment body only computes and
+writes its CSVs.
 
 Reproducibility: a single seed drives everything.  Substreams are derived
 per role (data, inits, chains) and per sweep point with fixed stream ids, so
@@ -14,14 +17,19 @@ files; only wall-clock fields in run_meta differ.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import subprocess
 import time
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
+from . import __version__
 from .integrators import (
     PhaseState,
     imex_l_steps,
@@ -45,6 +53,7 @@ from .sampler import draw_momentum, run_chain
 
 __all__ = [
     "ExperimentConfig",
+    "CONFIG_KEYS",
     "default_config",
     "read_config_file",
     "apply_overrides",
@@ -61,8 +70,6 @@ __all__ = [
     "EXPERIMENTS",
 ]
 
-__version__ = "0.1.0"
-
 # substream roles (offsets into the seed's stream-id space)
 _SID_DATA = 1
 _SID_INIT_Q = 2
@@ -71,15 +78,27 @@ _SID_CHAIN = 100  # + sweep-point offset + scheme offset
 _SID_SWEEP_DATA = 10_000  # + sweep-point offset
 
 
+def sweep_list(value) -> list:
+    """Comma- or space-separated numbers, or an already-parsed sequence."""
+    if isinstance(value, str):
+        return [float(tok) for tok in value.replace(",", " ").split()]
+    return list(value)
+
+
 @dataclass
 class ExperimentConfig:
-    """Bundle of everything one experiment run needs."""
+    """Bundle of everything one experiment run needs.
+
+    Field metadata feeds :data:`CONFIG_KEYS`: ``key`` renames the config
+    key, ``parse`` replaces the annotated type as the value parser.
+    """
 
     params: ExperimentParams = field(default_factory=ExperimentParams)
     hmc: HmcParams = field(default_factory=HmcParams)
-    out_dir: Path = Path("runs")
+    out_dir: Path = field(default=Path("runs"), metadata={"key": "out"})
     thin: int = 10
-    sweep: list | None = None          # h values, or K values for complexity
+    # h values, or K values for complexity
+    sweep: list | None = field(default=None, metadata={"parse": sweep_list})
     updates_per_point: int = 200       # chain length per (h, L) efficiency point
     reference_h: float = 1.0e-4        # convergence reference step size
     repeats: int = 3                   # timing repetitions (best-of)
@@ -96,28 +115,35 @@ class ExperimentConfig:
             raise ValueError("repeats must be >= 1")
 
 
+def _config_keys() -> dict:
+    """config key -> (ExperimentConfig section or None, field name, parser)."""
+    table = {}
+    for section, cls in (("params", ExperimentParams), ("hmc", HmcParams),
+                         (None, ExperimentConfig)):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name not in ("params", "hmc"):
+                key = f.metadata.get("key", f.name)
+                table[key] = (section, f.name, f.metadata.get("parse", hints[f.name]))
+    return table
+
+
+CONFIG_KEYS = _config_keys()
+
+
+# per-experiment config keys that differ from the dataclass defaults
 _EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "simulate": {},
-    "infer": {"hmc": dict(h=0.03, L=15, updates=2000)},
+    "infer": dict(h=0.03, L=15, updates=2000),
     "certify": {},
-    "surrogate": {
-        "hmc": dict(h=0.05, L=20),
-        "sweep": [round(x, 6) for x in np.geomspace(0.02, 0.2, 13)],
-    },
-    "stability": {"hmc": dict(h=0.1, L=100), "sweep": [0.1, 0.2]},
-    "efficiency": {
-        "hmc": dict(h=0.06, L=20),
-        "sweep": [0.02, 0.04, 0.06, 0.08, 0.10, 0.12],
-    },
-    "convergence": {
-        "hmc": dict(h=0.01, L=100),
-        "sweep": [1.0 / l for l in (100, 141, 200, 283, 400, 566, 800, 1131, 1600, 2263, 3200)],
-    },
-    "complexity": {
-        "params": dict(N=2),
-        "hmc": dict(h=0.05, L=20),
-        "sweep": [10, 14, 20, 28, 40, 56, 79, 100],
-    },
+    "surrogate": dict(h=0.05, L=20, sweep=[round(x, 6) for x in np.geomspace(0.02, 0.2, 13)]),
+    "stability": dict(h=0.1, L=100, sweep=[0.1, 0.2]),
+    "efficiency": dict(h=0.06, L=20, sweep=[0.02, 0.04, 0.06, 0.08, 0.10, 0.12]),
+    "convergence": dict(
+        h=0.01, L=100,
+        sweep=[1.0 / l for l in (100, 141, 200, 283, 400, 566, 800, 1131, 1600, 2263, 3200)],
+    ),
+    "complexity": dict(N=2, h=0.05, L=20, sweep=[10, 14, 20, 28, 40, 56, 79, 100]),
 }
 
 
@@ -125,22 +151,11 @@ def default_config(experiment: str, seed: int = 0, out_dir="runs") -> Experiment
     """Per-experiment default configuration (benchmark figures' settings)."""
     if experiment not in _EXPERIMENT_DEFAULTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    d = _EXPERIMENT_DEFAULTS[experiment]
-    params = ExperimentParams(**d.get("params", {}))
-    hmc = HmcParams(seed=seed, **d.get("hmc", {}))
-    return ExperimentConfig(
-        params=params, hmc=hmc, out_dir=Path(out_dir), sweep=d.get("sweep")
-    )
+    return apply_overrides(ExperimentConfig(out_dir=out_dir),
+                           {"seed": seed, **_EXPERIMENT_DEFAULTS[experiment]})
 
 
 # -- flat key=value config files -------------------------------------------
-
-_PARAM_KEYS = {"D": float, "I_ref": float, "I_bg": float, "omega": float,
-               "tau_dead": float, "tau_exp": float, "N": int, "K": int}
-_HMC_KEYS = {"theta": float, "mass": float, "h": float, "L": int,
-             "scheme": str, "updates": int, "seed": int}
-_RUN_KEYS = {"thin": int, "out": str, "updates_per_point": int,
-             "reference_h": float, "repeats": int, "sweep": str}
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -160,37 +175,24 @@ def read_config_file(path) -> dict[str, str]:
     return mapping
 
 
-def _parse_sweep(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
 def apply_overrides(config: ExperimentConfig, mapping: dict) -> ExperimentConfig:
     """Return config with string/typed overrides applied (file or CLI flags).
 
     Unknown keys raise ValueError; values may be strings (parsed per key) or
     already-typed Python values.
     """
-    p_over, h_over = {}, {}
+    over: dict = {"params": {}, "hmc": {}, None: {}}
     for key, value in mapping.items():
         if value is None:
             continue
-        if key in _PARAM_KEYS:
-            p_over[key] = _PARAM_KEYS[key](value)
-        elif key in _HMC_KEYS:
-            h_over[key] = _HMC_KEYS[key](value)
-        elif key in _RUN_KEYS:
-            if key == "sweep":
-                config = replace(config, sweep=_parse_sweep(value) if isinstance(value, str) else list(value))
-            elif key == "out":
-                config = replace(config, out_dir=Path(value))
-            else:
-                config = replace(config, **{key: _RUN_KEYS[key](value)})
-        else:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    if p_over:
-        config = replace(config, params=replace(config.params, **p_over))
-    if h_over:
-        config = replace(config, hmc=replace(config.hmc, **h_over))
+        section, name, parse = CONFIG_KEYS[key]
+        over[section][name] = parse(value)
+    config = replace(config, **over.pop(None))
+    for section, changes in over.items():
+        if changes:
+            config = replace(config, **{section: replace(getattr(config, section), **changes)})
     return config
 
 
@@ -224,29 +226,59 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
     return path
 
 
-def _write_run_meta(config: ExperimentConfig, experiment: str, stamp: str,
-                    wall_sec: float, extras: dict) -> Path:
-    p, h = config.params, config.hmc
-    lines = {
-        "experiment": experiment,
-        "timestamp": stamp,
-        "build": _build_identifier(),
-        "version": __version__,
-        "seed": h.seed,
-        "D": p.D, "I_ref": p.I_ref, "I_bg": p.I_bg, "omega": p.omega,
-        "tau_dead": p.tau_dead, "tau_exp": p.tau_exp, "N": p.N, "K": p.K,
-        "theta": h.theta, "mass": h.mass, "h": h.h, "L": h.L,
-        "scheme": h.scheme.value, "updates": h.updates,
-        "thin": config.thin,
-        "sweep": "" if config.sweep is None else " ".join(str(v) for v in config.sweep),
-        "wall_time_sec": f"{wall_sec:.3f}",
-    }
-    lines.update(extras)
-    path = config.out_dir / f"run_meta_{stamp}.txt"
+def _write_run_meta(path: Path, config: ExperimentConfig, record: dict) -> Path:
+    """The run's record as '# key = value' comments, then every set config
+    key as 'key = value', so the file replays the run as a --config file."""
     with open(path, "w") as fh:
-        for key, value in lines.items():
-            fh.write(f"{key} = {value}\n")
+        for key, value in record.items():
+            fh.write(f"# {key} = {value}\n")
+        for key, (section, name, _) in CONFIG_KEYS.items():
+            value = getattr(getattr(config, section) if section else config, name)
+            if isinstance(value, list):
+                value = " ".join(str(v) for v in value)
+            elif isinstance(value, Enum):
+                value = value.value
+            if value is not None:
+                fh.write(f"{key} = {value}\n")
     return path
+
+
+def _experiment(result_type):
+    """Turn ``exp_<name>(config, write, ...) -> (result fields, meta extras)``
+    into the public ``exp_<name>(config, ...) -> result_type``.
+
+    The runner fills in the experiment's default sweep when the config has
+    none, creates the output directory, stamps and times the run, and passes
+    the body ``write(header, rows, *tags)``, which writes
+    ``<name>[_<tag>...]_<stamp>.csv``.  run_meta is written last, so
+    ``paths`` lists the CSVs, then meta.
+    """
+    def wrap(body):
+        experiment = body.__name__.removeprefix("exp_")
+
+        @functools.wraps(body)
+        def run(config: ExperimentConfig, *args, **kwargs):
+            t0 = time.perf_counter()
+            if not config.sweep:
+                config = replace(config, sweep=_EXPERIMENT_DEFAULTS[experiment].get("sweep"))
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+            stamp = _timestamp()
+            paths = []
+
+            def write(header: list[str], rows, *tags: str) -> None:
+                name = "_".join((experiment, *tags, stamp))
+                paths.append(_write_csv(config.out_dir / f"{name}.csv", header, rows))
+
+            found, extras = body(config, write, *args, **kwargs)
+            wall = f"{time.perf_counter() - t0:.3f}"
+            record = {"experiment": experiment, "timestamp": stamp, "build": _build_identifier(),
+                      "version": __version__, "wall_time_sec": wall, **extras}
+            paths.append(_write_run_meta(config.out_dir / f"run_meta_{stamp}.txt", config, record))
+            return result_type(**found, paths=paths)
+
+        return run
+
+    return wrap
 
 
 def primes_below(n: int) -> list[int]:
@@ -280,27 +312,22 @@ class SimulateResult:
     paths: list
 
 
-def exp_simulate(config: ExperimentConfig) -> SimulateResult:
-    """Draw one synthetic data set and write counts plus latent trajectory."""
-    t0 = time.perf_counter()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp()
-    p = config.params
-    sim = simulate(RandomStream(config.hmc.seed, _SID_DATA), p)
+def _write_data(write, sim: Simulation, params: ExperimentParams, trajectory_tag: str) -> None:
+    """The counts CSV and the latent-trajectory CSV of one data set."""
     mesh = sim.trajectory.mesh
-    window_end = mesh.times[(p.K + 1) * np.arange(1, p.N + 1)]
-    counts_path = _write_csv(
-        config.out_dir / f"simulate_counts_{stamp}.csv",
-        ["n", "t_n", "u_n", "w_n"],
-        zip(range(1, p.N + 1), window_end, sim.signal, sim.counts),
-    )
-    traj_path = _write_csv(
-        config.out_dir / f"simulate_trajectory_{stamp}.csv",
-        ["node_index", "time_sec", "q_um"],
-        zip(range(p.node_count), mesh.times, sim.trajectory.values),
-    )
-    meta = _write_run_meta(config, "simulate", stamp, time.perf_counter() - t0, {})
-    return SimulateResult(simulation=sim, paths=[counts_path, traj_path, meta])
+    window_end = mesh.times[(params.K + 1) * np.arange(1, params.N + 1)]
+    write(["n", "t_n", "u_n", "w_n"],
+          zip(range(1, params.N + 1), window_end, sim.signal, sim.counts), "counts")
+    write(["node_index", "time_sec", "q_um"],
+          zip(range(params.node_count), mesh.times, sim.trajectory.values), trajectory_tag)
+
+
+@_experiment(SimulateResult)
+def exp_simulate(config: ExperimentConfig, write):
+    """Draw one synthetic data set and write counts plus latent trajectory."""
+    sim = simulate(RandomStream(config.hmc.seed, _SID_DATA), config.params)
+    _write_data(write, sim, config.params, "trajectory")
+    return dict(simulation=sim), {}
 
 
 @dataclass(frozen=True)
@@ -310,60 +337,38 @@ class InferResult:
     paths: list
 
 
-def exp_infer(config: ExperimentConfig) -> InferResult:
+@_experiment(InferResult)
+def exp_infer(config: ExperimentConfig, write):
     """Simulate one data set, then sample its posterior with both schemes.
 
     Chains start at the ground-truth trajectory (no burn-in analysis here;
     the point of the experiment is posterior spread, not convergence from a
     cold start).  If the certificate flags the requested h as unstable for
-    the explicit scheme the run proceeds; expect rejections.
+    the explicit scheme the run warns and proceeds; expect rejections.
     """
-    t0 = time.perf_counter()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp()
     p, h = config.params, config.hmc
     sim = simulate(RandomStream(h.seed, _SID_DATA), p)
     problem = PosteriorProblem(p, counts=sim.counts)
-    mesh = sim.trajectory.mesh
     truth = sim.trajectory.values
-
-    window_end = mesh.times[(p.K + 1) * np.arange(1, p.N + 1)]
-    paths = [
-        _write_csv(
-            config.out_dir / f"infer_counts_{stamp}.csv",
-            ["n", "t_n", "u_n", "w_n"],
-            zip(range(1, p.N + 1), window_end, sim.signal, sim.counts),
-        ),
-        _write_csv(
-            config.out_dir / f"infer_truth_{stamp}.csv",
-            ["node_index", "time_sec", "q_um"],
-            zip(range(p.node_count), mesh.times, truth),
-        ),
-    ]
+    _write_data(write, sim, p, "truth")
+    cert = cfl_certificate(p, h)
+    if not cert.stable:
+        warnings.warn(f"h = {h.h} exceeds certificate h_max = {cert.h_max:.4g}; "
+                      "explicit chain may reject almost everything", stacklevel=3)
     chains: dict = {}
     for offset, scheme in enumerate((Scheme.SVEX, Scheme.IMEX)):
         hmc = replace(h, scheme=scheme)
-        cert = cfl_certificate(p, hmc)
-        if scheme is Scheme.SVEX and not cert.stable:
-            print(f"warning: h = {hmc.h} exceeds certificate h_max = {cert.h_max:.4g}; "
-                  "explicit chain may reject almost everything")
         chain = run_chain(truth, problem, hmc, RandomStream(h.seed, _SID_CHAIN + offset))
         chains[scheme.value] = chain
-        paths.append(_write_csv(
-            config.out_dir / f"infer_chain_{scheme.value}_{stamp}.csv",
-            ["step", "accepted", "H_before", "H_after"],
-            zip(range(1, hmc.updates + 1), chain.accepted.astype(int),
-                chain.h_before, chain.h_after),
-        ))
+        write(["step", "accepted", "H_before", "H_after"],
+              zip(range(1, hmc.updates + 1), chain.accepted.astype(int),
+                  chain.h_before, chain.h_after),
+              "chain", scheme.value)
         steps = range(0, hmc.updates + 1, config.thin)
-        paths.append(_write_csv(
-            config.out_dir / f"infer_samples_{scheme.value}_{stamp}.csv",
-            ["step", "node_index", "q_um"],
-            ((s, i, chain.samples[s, i]) for s in steps for i in range(p.node_count)),
-        ))
-    meta = _write_run_meta(config, "infer", stamp, time.perf_counter() - t0,
-                           {"init": "ground_truth"})
-    return InferResult(simulation=sim, chains=chains, paths=paths + [meta])
+        write(["step", "node_index", "q_um"],
+              ((s, i, chain.samples[s, i]) for s in steps for i in range(p.node_count)),
+              "samples", scheme.value)
+    return dict(simulation=sim, chains=chains), {"init": "ground_truth", "h_max": cert.h_max}
 
 
 @dataclass(frozen=True)
@@ -373,13 +378,11 @@ class CertifyResult:
     paths: list
 
 
-def exp_certify(config: ExperimentConfig) -> CertifyResult:
+@_experiment(CertifyResult)
+def exp_certify(config: ExperimentConfig, write):
     """Evaluate the explicit-scheme step-size certificate for this config."""
-    t0 = time.perf_counter()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp()
-    p, h = config.params, config.hmc
-    cert = cfl_certificate(p, h)
+    p = config.params
+    cert = cfl_certificate(p, config.hmc)
     lines = [
         f"surrogate oscillator frequency c = {cert.c:.6g}",
         f"certified step bound h_max = 2/c = {cert.h_max:.6g}",
@@ -391,14 +394,8 @@ def exp_certify(config: ExperimentConfig) -> CertifyResult:
             "dead-link modes are faster than the surrogate frequency, so the "
             "bound above can overestimate the observed stability threshold"
         )
-    report = "\n".join(lines)
-    path = _write_csv(
-        config.out_dir / f"certify_{stamp}.csv",
-        ["c", "h_max", "h", "stable"],
-        [(cert.c, cert.h_max, cert.h, int(cert.stable))],
-    )
-    meta = _write_run_meta(config, "certify", stamp, time.perf_counter() - t0, {})
-    return CertifyResult(certificate=cert, report=report, paths=[path, meta])
+    write(["c", "h_max", "h", "stable"], [(cert.c, cert.h_max, cert.h, int(cert.stable))])
+    return dict(certificate=cert, report="\n".join(lines)), {}
 
 
 @dataclass(frozen=True)
@@ -419,7 +416,17 @@ def _max_q_norm(state: PhaseState, one_step, steps: int) -> float:
     return best
 
 
-def exp_surrogate(config: ExperimentConfig) -> SweepResult:
+def _prior_draw(config: ExperimentConfig) -> PhaseState:
+    """The shared (q0, p0) of the integrator sweeps: a prior trajectory and
+    a momentum draw."""
+    p, h0 = config.params, config.hmc
+    q0 = sample_prior_trajectory(RandomStream(h0.seed, _SID_INIT_Q), p)
+    p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P), h0, p.node_count)
+    return PhaseState(q=q0, p=p0)
+
+
+@_experiment(SweepResult)
+def exp_surrogate(config: ExperimentConfig, write):
     """Trajectory-bound sweep: b(h) = max step norm over an L-step run.
 
     Compares the full explicit integrator on the posterior against the
@@ -427,64 +434,47 @@ def exp_surrogate(config: ExperimentConfig) -> SweepResult:
     (q0, p0).  The h where b first explodes locates each scheme's stability
     edge; the prior subsystem is the cheap surrogate for the full map.
     """
-    t0 = time.perf_counter()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp()
     p, h0 = config.params, config.hmc
-    sweep = config.sweep or _EXPERIMENT_DEFAULTS["surrogate"]["sweep"]
     sim = simulate(RandomStream(h0.seed, _SID_DATA), p)
     problem = PosteriorProblem(p, counts=sim.counts)
-    q0 = sample_prior_trajectory(RandomStream(h0.seed, _SID_INIT_Q), p)
-    p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P), h0, p.node_count)
-    init = PhaseState(q=q0, p=p0)
+    init = _prior_draw(config)
     rows = []
-    for h_val in sweep:
+    for h_val in config.sweep:
         hmc = replace(h0, h=float(h_val))
         b_full = _max_q_norm(init, lambda s: sv_full_step(s, problem, hmc), h0.L)
         b_prior = _max_q_norm(init, lambda s: sv_prior_step(s, problem, hmc), h0.L)
         rows.append((float(h_val), b_full, b_prior))
-    path = _write_csv(config.out_dir / f"surrogate_{stamp}.csv",
-                      ["h", "b_full", "b_prior"], rows)
-    meta = _write_run_meta(config, "surrogate", stamp, time.perf_counter() - t0,
-                           {"L": h0.L})
-    return SweepResult(rows=rows, paths=[path, meta])
+    write(["h", "b_full", "b_prior"], rows)
+    return dict(rows=rows), {}
 
 
-def exp_stability(config: ExperimentConfig) -> SweepResult:
+@_experiment(SweepResult)
+def exp_stability(config: ExperimentConfig, write):
     """Explicit integration of the prior subsystem at each sweep h.
 
     Writes the per-step phase point of one mid-mesh coordinate and the prior
     subsystem energy; bounded oscillation vs blow-up is visible directly in
     the energy column.
     """
-    t0 = time.perf_counter()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp()
     p, h0 = config.params, config.hmc
-    sweep = config.sweep or _EXPERIMENT_DEFAULTS["stability"]["sweep"]
     problem = PosteriorProblem(p)  # prior-only target
-    q0 = sample_prior_trajectory(RandomStream(h0.seed, _SID_INIT_Q), p)
-    p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P), h0, p.node_count)
+    init = _prior_draw(config)
     coord = p.node_count // 2
     rows = []
-    for h_val in sweep:
+    for h_val in config.sweep:
         hmc = replace(h0, h=float(h_val))
-        state = PhaseState(q=q0, p=p0)
-        rows.append((float(h_val), 0, 0.0, state.q[coord], state.p[coord],
-                     hamiltonian_prior(state.q, state.p, problem, hmc)))
-        for step in range(1, h0.L + 1):
-            state = sv_prior_step(state, problem, hmc)
+        state = init
+        for step in range(h0.L + 1):
+            if step:
+                state = sv_prior_step(state, problem, hmc)
             rows.append((float(h_val), step, step * float(h_val), state.q[coord],
-                         state.p[coord],
-                         hamiltonian_prior(state.q, state.p, problem, hmc)))
-    path = _write_csv(config.out_dir / f"stability_{stamp}.csv",
-                      ["h", "step", "eta", "q_coord", "p_coord", "H_prior"], rows)
-    meta = _write_run_meta(config, "stability", stamp, time.perf_counter() - t0,
-                           {"coordinate_index": coord, "L": h0.L, "target": "prior_only"})
-    return SweepResult(rows=rows, paths=[path, meta])
+                         state.p[coord], hamiltonian_prior(state.q, state.p, problem, hmc)))
+    write(["h", "step", "eta", "q_coord", "p_coord", "H_prior"], rows)
+    return dict(rows=rows), {"coordinate_index": coord, "target": "prior_only"}
 
 
-def exp_efficiency(config: ExperimentConfig, l_values: list[int] | None = None) -> SweepResult:
+@_experiment(SweepResult)
+def exp_efficiency(config: ExperimentConfig, write, l_values: list[int] | None = None):
     """Mean HMC acceptance rate AR(h) for both schemes.
 
     For each h, AR is averaged over chains of ``updates_per_point`` updates
@@ -492,15 +482,11 @@ def exp_efficiency(config: ExperimentConfig, l_values: list[int] | None = None) 
     dodging resonant L h cycles).  Each (h, L) point gets fresh synthetic
     data shared by the two schemes; chains start at the ground truth.
     """
-    t0 = time.perf_counter()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp()
     p, h0 = config.params, config.hmc
-    sweep = config.sweep or _EXPERIMENT_DEFAULTS["efficiency"]["sweep"]
     if l_values is None:
         l_values = primes_below(100)
     rows = []
-    for i, h_val in enumerate(sweep):
+    for i, h_val in enumerate(config.sweep):
         ars = {Scheme.SVEX: [], Scheme.IMEX: []}
         for j, l_val in enumerate(l_values):
             point = i * 1009 + j
@@ -515,13 +501,9 @@ def exp_efficiency(config: ExperimentConfig, l_values: list[int] | None = None) 
         rows.append((float(h_val),
                      float(np.mean(ars[Scheme.SVEX])),
                      float(np.mean(ars[Scheme.IMEX]))))
-    path = _write_csv(config.out_dir / f"efficiency_{stamp}.csv",
-                      ["h", "AR_svex", "AR_imex"], rows)
-    meta = _write_run_meta(config, "efficiency", stamp, time.perf_counter() - t0,
-                           {"l_values": " ".join(str(v) for v in l_values),
-                            "updates_per_point": config.updates_per_point,
-                            "init": "ground_truth"})
-    return SweepResult(rows=rows, paths=[path, meta])
+    write(["h", "AR_svex", "AR_imex"], rows)
+    return dict(rows=rows), {"l_values": " ".join(str(v) for v in l_values),
+                             "init": "ground_truth"}
 
 
 def _integrate_recorded(init: PhaseState, problem: PosteriorProblem, hmc: HmcParams,
@@ -544,7 +526,8 @@ def _integrate_recorded(init: PhaseState, problem: PosteriorProblem, hmc: HmcPar
     return state, drift
 
 
-def exp_convergence(config: ExperimentConfig) -> SweepResult:
+@_experiment(SweepResult)
+def exp_convergence(config: ExperimentConfig, write):
     """Fixed-time self-convergence of both schemes.
 
     Integrates one shared (q0, p0) to time L h = 1 for each sweep h and
@@ -552,16 +535,10 @@ def exp_convergence(config: ExperimentConfig) -> SweepResult:
     ``reference_h``; also records the worst energy drift along each run.
     Blown-up runs are recorded as inf and excluded from slope fits.
     """
-    t0 = time.perf_counter()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp()
     p, h0 = config.params, config.hmc
-    sweep = config.sweep or _EXPERIMENT_DEFAULTS["convergence"]["sweep"]
     sim = simulate(RandomStream(h0.seed, _SID_DATA), p)
     problem = PosteriorProblem(p, counts=sim.counts)
-    q0 = sample_prior_trajectory(RandomStream(h0.seed, _SID_INIT_Q), p)
-    p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P), h0, p.node_count)
-    init = PhaseState(q=q0, p=p0)
+    init = _prior_draw(config)
 
     reference = {}
     l_ref = round(1.0 / config.reference_h)
@@ -571,7 +548,7 @@ def exp_convergence(config: ExperimentConfig) -> SweepResult:
         reference[scheme] = terminal.q
 
     rows = []
-    for h_val in sweep:
+    for h_val in config.sweep:
         steps = round(1.0 / float(h_val))
         errs = {}
         for scheme in (Scheme.SVEX, Scheme.IMEX):
@@ -581,17 +558,12 @@ def exp_convergence(config: ExperimentConfig) -> SweepResult:
             errs[scheme] = (q_err if math.isfinite(q_err) else math.inf, drift)
         rows.append((float(h_val), errs[Scheme.SVEX][0], errs[Scheme.IMEX][0],
                      errs[Scheme.SVEX][1], errs[Scheme.IMEX][1]))
-    path = _write_csv(
-        config.out_dir / f"convergence_{stamp}.csv",
-        ["h", "q_err_svex", "q_err_imex", "H_err_svex", "H_err_imex"], rows)
-    meta = _write_run_meta(
-        config, "convergence", stamp, time.perf_counter() - t0,
-        {"reference_h": config.reference_h,
-         "steps": " ".join(str(round(1.0 / float(h))) for h in sweep)})
-    return SweepResult(rows=rows, paths=[path, meta])
+    write(["h", "q_err_svex", "q_err_imex", "H_err_svex", "H_err_imex"], rows)
+    return dict(rows=rows), {"steps": " ".join(str(round(1.0 / float(h))) for h in config.sweep)}
 
 
-def exp_complexity(config: ExperimentConfig) -> SweepResult:
+@_experiment(SweepResult)
+def exp_complexity(config: ExperimentConfig, write):
     """Wall time of one L-step integration as the mesh is refined in K.
 
     Fresh data per K, shared by both schemes; each timing is the best of
@@ -599,13 +571,9 @@ def exp_complexity(config: ExperimentConfig) -> SweepResult:
     midpoint operator cache, so setup cost is excluded).  Both schemes are
     expected to scale linearly in the trajectory length M = N(K+1)+1.
     """
-    t0 = time.perf_counter()
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _timestamp()
     h0 = config.hmc
-    sweep = config.sweep or _EXPERIMENT_DEFAULTS["complexity"]["sweep"]
     rows = []
-    for idx, k_val in enumerate(sweep):
+    for idx, k_val in enumerate(config.sweep):
         k = int(k_val)
         params = replace(config.params, K=k)
         sim = simulate(RandomStream(h0.seed, _SID_SWEEP_DATA + idx), params)
@@ -623,12 +591,8 @@ def exp_complexity(config: ExperimentConfig) -> SweepResult:
                 best = min(best, time.perf_counter() - tic)
             walls[scheme] = best
         rows.append((k, walls[Scheme.SVEX], walls[Scheme.IMEX]))
-    path = _write_csv(config.out_dir / f"complexity_{stamp}.csv",
-                      ["K", "wall_svex_sec", "wall_imex_sec"], rows)
-    meta = _write_run_meta(config, "complexity", stamp, time.perf_counter() - t0,
-                           {"repeats": config.repeats, "N": config.params.N,
-                            "timing": "integration only, operators prebuilt"})
-    return SweepResult(rows=rows, paths=[path, meta])
+    write(["K", "wall_svex_sec", "wall_imex_sec"], rows)
+    return dict(rows=rows), {"timing": "integration only, operators prebuilt"}
 
 
 EXPERIMENTS = {

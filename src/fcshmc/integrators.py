@@ -38,8 +38,6 @@ __all__ = [
     "imex_step",
     "imex_l_steps",
     "svex_l_steps",
-    "thomas_solve",
-    "tridiag_matvec",
 ]
 
 

@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ExperimentParams
+from .model import ExperimentParams, time_mesh
 from .tridiag import TridiagonalOperator
 
 __all__ = [
@@ -182,9 +182,7 @@ class PosteriorProblem:
             sup=self.laplacian.sup[1:],
         )
         # hot-loop caches (python lists: see module docstring)
-        link = np.empty(p.node_count - 1)
-        link.reshape(p.N, p.K + 1)[:, 0] = p.tau_dead
-        link.reshape(p.N, p.K + 1)[:, 1:] = p.tau_sub
+        link = time_mesh(p).link_tau
         self._s = (1.0 / link).tolist()
         self._vp_coef = (1.0 / (4.0 * p.D * link)).tolist()
         self._inv2d = 1.0 / (2.0 * p.D)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 
 from fcshmc.cli import EXIT_IO, EXIT_OK, EXIT_SETUP, EXIT_USAGE, main
 from fcshmc.harness import (
+    CONFIG_KEYS,
+    EXPERIMENTS,
     ExperimentConfig,
     apply_overrides,
     default_config,
@@ -24,7 +27,8 @@ from fcshmc.harness import (
     _max_q_norm,
 )
 from fcshmc.integrators import PhaseState
-from fcshmc.posterior import Scheme, cfl_certificate
+from fcshmc.model import ExperimentParams
+from fcshmc.posterior import HmcParams, Scheme, cfl_certificate
 
 
 def read_rows(path):
@@ -253,6 +257,81 @@ def test_infer_writes_chains_and_samples(tmp_path):
     assert len(rows) == 3
 
 
+def test_infer_warns_above_certificate(tmp_path):
+    config = small_config("infer", tmp_path, h=0.5, L=5, updates=3)
+    h_max = cfl_certificate(config.params, config.hmc).h_max
+    assert h_max < 0.5
+    with pytest.warns(UserWarning, match="exceeds certificate"):
+        result = exp_infer(config)
+    assert f"# h_max = {h_max}" in result.paths[-1].read_text().splitlines()
+
+
+def test_run_meta_records_the_sweep_that_ran(tmp_path):
+    config = ExperimentConfig(params=ExperimentParams(N=2, K=2), hmc=HmcParams(L=3),
+                              out_dir=tmp_path)
+    result = exp_stability(config)
+    assert "sweep = 0.1 0.2" in result.paths[-1].read_text().splitlines()
+
+
+# SHA-256 of every CSV (stamp stripped from the file name) of small runs at a
+# fixed seed: experiment -> (config overrides, keyword arguments, digests).
+# These digests change only in a change that means to change outputs, and
+# such a change says so in CHANGES.md.
+GOLDEN_RUNS = {
+    "simulate": (dict(N=4, K=3), {}, {
+        "simulate_counts": "8418164d787e2851708dc0c95cfe19f75f51d442ba99d5acc7865f3e9957beaf",
+        "simulate_trajectory": "6c7dd777e78ca6de04ddf03e67a81926e646dc662dcd64aebe893c51ed1b0bd5",
+    }),
+    "infer": (dict(N=3, K=3, updates=30, thin=10), {}, {
+        "infer_counts": "d294cbad7762a433022256f449f7268eeb152ea9426a6794182eb834c760d211",
+        "infer_truth": "0fa6bd6443bc573477a97eef5dd2d8dd91235b687fb956e477ecb22ad1cd7c31",
+        "infer_chain_svex": "eac5704dd3a35323b14d0032a2dada2b0843a61600a43dc9c9e7bab2e9af056b",
+        "infer_samples_svex": "2175b75de25b39e7d96a885c66531abd0402d99d81c090e17c0690e42466de39",
+        "infer_chain_imex": "1f95eecc93bb78bed0920b2de1177908e8c21f1303d539f9e603c27668e6363a",
+        "infer_samples_imex": "975954f7bc4368e71b7003bd8940e6eda5b896110b7c2df5e4f5fcf1bce75a56",
+    }),
+    "certify": ({}, {}, {
+        "certify": "93b66a014858401b9b6cb997f36425504f1f45d1ae666d0b5dc23a242fd91cc4",
+    }),
+    "surrogate": (dict(sweep="0.01 0.05 0.3"), {}, {
+        "surrogate": "975abd29fdbb99422d831d066f3f62596e1ff12d3d7cd20a5f468dbefef224ce",
+    }),
+    "stability": (dict(sweep="0.02 0.2", L=5), {}, {
+        "stability": "89b3bdb1aefb71198c53d13acf13041ad8fb41e4cbb3b382289009c6141ca63a",
+    }),
+    "efficiency": (dict(sweep="0.02 0.1", updates_per_point=10), dict(l_values=[2, 3, 5]), {
+        "efficiency": "0295621abf582246dd9c564072cbc285fd6d2c010356efdb3f760347b1d5e501",
+    }),
+    "convergence": (dict(sweep="0.01 0.02", reference_h=0.002), {}, {
+        "convergence": "7e2ecce9a5beefb384d9ebbe47476b15f20d12775e058e8693481e89eccf1635",
+    }),
+}
+
+
+def golden_run(name, out_dir):
+    overrides, kwargs, _ = GOLDEN_RUNS[name]
+    config = apply_overrides(default_config(name, seed=3, out_dir=out_dir),
+                             {"N": 2, "K": 2, **overrides})
+    return config, EXPERIMENTS[name](config, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_csv_outputs_match_golden_digests(tmp_path, name):
+    _, result = golden_run(name, tmp_path)
+    digests = {path.name.rsplit("_", 1)[0]: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in result.paths if path.suffix == ".csv"}
+    assert digests == GOLDEN_RUNS[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_run_meta_replays_the_config(tmp_path, name):
+    config, result = golden_run(name, tmp_path)
+    recorded = read_config_file(result.paths[-1])
+    # every config key is recorded; a run without a sweep has none to record
+    assert set(CONFIG_KEYS) - set(recorded) == ({"sweep"} if config.sweep is None else set())
+    assert apply_overrides(default_config(name), recorded) == config
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -290,6 +369,17 @@ def test_cli_config_file_layering(tmp_path, capsys):
     path, = tmp_path.glob("stability_*.csv")
     _, rows = read_rows(path)
     assert len(rows) == 4  # CLI flag L=3 overrides the file's L=5
+
+
+def test_cli_replays_run_meta(tmp_path, capsys):
+    assert main(["infer", "--N", "2", "--K", "2", "--updates", "5",
+                 "--out", str(tmp_path / "a")]) == EXIT_OK
+    meta, = (tmp_path / "a").glob("run_meta_*.txt")
+    assert main(["infer", "--config", str(meta), "--out", str(tmp_path / "b")]) == EXIT_OK
+    capsys.readouterr()
+    for first in (tmp_path / "a").glob("*.csv"):
+        again, = (tmp_path / "b").glob(first.name.rsplit("_", 1)[0] + "_*.csv")
+        assert first.read_bytes() == again.read_bytes()
 
 
 def test_cli_bad_inputs_route_to_exit_codes(tmp_path, capsys):
