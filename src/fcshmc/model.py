@@ -17,7 +17,6 @@ verbatim; no squaring is applied.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +46,8 @@ class TimescaleOrderingWarning(UserWarning):
     submesh coupling 1/tau_sub.  When tau_sub > tau_dead the stiffest link
     in the prior chain is the dead-time link, whose coupling 1/tau_dead the
     certificate does not see, so the certificate step bound can be optimistic.
+    ``posterior.cfl_certificate`` warns when it certifies such params; the
+    params themselves are valid and build silently.
     """
 
 
@@ -85,15 +86,6 @@ class ExperimentParams:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
-        if self.tau_sub > self.tau_dead:
-            warnings.warn(
-                f"tau_sub = tau_exp/K = {self.tau_sub:.3g} s exceeds tau_dead = "
-                f"{self.tau_dead:.3g} s; the dead-time link is then the stiffest "
-                "coupling in the prior and the CFL certificate may understate "
-                "the fastest mode (see cfl_certificate docs)",
-                TimescaleOrderingWarning,
-                stacklevel=2,
-            )
 
     @property
     def tau_sub(self) -> float:

@@ -28,12 +28,13 @@ Energy and gradient kernels are plain loops for the same reason as in
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .model import ExperimentParams, time_mesh
+from .model import ExperimentParams, TimescaleOrderingWarning, time_mesh
 from .tridiag import TridiagonalOperator
 
 __all__ = [
@@ -102,62 +103,56 @@ class HmcParams:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
 
 
+def _path_laplacian(weights: np.ndarray) -> TridiagonalOperator:
+    """Symmetric tridiagonal Laplacian of a path graph with M-1 link weights.
+
+    The off-diagonals are the weights; each diagonal entry is minus the sum
+    of its adjacent weights, so every row sums to zero.
+    """
+    diag = np.zeros(len(weights) + 1)
+    diag[:-1] -= weights
+    diag[1:] -= weights
+    return TridiagonalOperator(sub=weights, diag=diag, sup=weights)
+
+
+def _dead_links(params: ExperimentParams) -> np.ndarray:
+    """Indicator (1.0 / 0.0) of the dead links: link j joins nodes j, j+1,
+    and each window starts with one dead link followed by K submesh links."""
+    dead = np.zeros(params.node_count - 1)
+    dead[:: params.K + 1] = 1.0
+    return dead
+
+
 def build_laplacian(params: ExperimentParams) -> TridiagonalOperator:
     """Two-scale discrete Laplacian on the flat mesh (M x M, symmetric).
 
     Off-diagonal j is the coupling 1/tau of the link between nodes j and
-    j+1; each diagonal entry is minus the sum of its adjacent couplings, so
-    every row sums to zero and -Lap is positive semidefinite.
+    j+1, so every row sums to zero and -Lap is positive semidefinite.
     """
-    m = params.node_count
-    off = np.full(m - 1, 1.0 / params.tau_sub)
-    off[0 :: params.K + 1] = 1.0 / params.tau_dead
-    diag = np.empty(m)
-    diag[0] = -off[0]
-    diag[-1] = -off[-1]
-    diag[1:-1] = -(off[:-1] + off[1:])
-    return TridiagonalOperator(sub=off, diag=diag, sup=off)
+    return _path_laplacian(1.0 / time_mesh(params).link_tau)
 
 
 def dead_time_coupling(params: ExperimentParams) -> TridiagonalOperator:
     """Unit-coupling graph Laplacian of the dead links alone."""
-    m = params.node_count
-    off = np.zeros(m - 1)
-    dead = np.arange(0, m - 1, params.K + 1)
-    off[dead] = 1.0
-    diag = np.zeros(m)
-    np.add.at(diag, dead, -1.0)
-    np.add.at(diag, dead + 1, -1.0)
-    return TridiagonalOperator(sub=off, diag=diag, sup=off)
+    return _path_laplacian(_dead_links(params))
 
 
 def exposure_coupling(params: ExperimentParams) -> TridiagonalOperator:
     """Unit-coupling Laplacian of the submesh links: one Neumann block per
     window, a zero row/column at the anchor node."""
-    m = params.node_count
-    off = np.zeros(m - 1)
-    diag = np.zeros(m)
-    for n in range(params.N):
-        base = 1 + n * (params.K + 1)  # first node of window n+1
-        sub_links = np.arange(base, base + params.K)
-        off[sub_links] = 1.0
-        np.add.at(diag, sub_links, -1.0)
-        np.add.at(diag, sub_links + 1, -1.0)
-    return TridiagonalOperator(sub=off, diag=diag, sup=off)
+    return _path_laplacian(1.0 - _dead_links(params))
 
 
 @dataclass
 class PosteriorProblem:
     """One inference target: parameters, counts, and precomputed structure.
 
-    counts=None drops the likelihood (prior-only target); prior_enabled=False
-    additionally drops the prior, leaving a flat potential (test harness use).
-    The physical fields are treated as immutable after construction.
+    counts=None drops the likelihood (prior-only target).  The physical
+    fields are treated as immutable after construction.
     """
 
     params: ExperimentParams
     counts: np.ndarray | None = None
-    prior_enabled: bool = True
     laplacian: TridiagonalOperator = field(init=False, repr=False)
     active_laplacian: TridiagonalOperator = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
@@ -173,7 +168,8 @@ class PosteriorProblem:
             if np.any(w < 0) or not np.all(w == np.floor(w)):
                 raise ValueError("counts must be nonnegative integers")
             self.counts = w.astype(np.int64)
-        self.laplacian = build_laplacian(p)
+        link = time_mesh(p).link_tau
+        self.laplacian = _path_laplacian(1.0 / link)
         # Row/column 0 removed: q_0 is pinned at zero and is not a sampling
         # degree of freedom, so implicit solves act on the remaining M-1.
         self.active_laplacian = TridiagonalOperator(
@@ -182,8 +178,8 @@ class PosteriorProblem:
             sup=self.laplacian.sup[1:],
         )
         # hot-loop caches (python lists: see module docstring)
-        link = time_mesh(p).link_tau
-        self._s = (1.0 / link).tolist()
+        self._tau = link.tolist()
+        self._s = self.laplacian.sub.tolist()
         self._vp_coef = (1.0 / (4.0 * p.D * link)).tolist()
         self._inv2d = 1.0 / (2.0 * p.D)
         self._inv2w = 1.0 / (2.0 * p.omega)
@@ -200,8 +196,6 @@ class PosteriorProblem:
 
 def v_prior(q: np.ndarray, problem: PosteriorProblem) -> float:
     """Random-walk prior energy sum (dq)^2 / (4 D tau) over all links."""
-    if not problem.prior_enabled:
-        return 0.0
     x = np.asarray(q, dtype=float).tolist()
     coef = problem._vp_coef
     acc = 0.0
@@ -244,8 +238,6 @@ def grad_v_prior(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
     m = problem.node_count
     if x.shape != (m,):
         raise ValueError(f"trajectory must have shape ({m},), got {x.shape}")
-    if not problem.prior_enabled:
-        return np.zeros(m)
     xs = x.tolist()
     s = problem._s
     c = problem._inv2d
@@ -339,8 +331,8 @@ class CflCertificate:
     prior subsystem as sqrt(theta / (m D tau_sub)); the Verlet stability
     interval then gives h_max = 2/c.  The frequency model keeps only the
     submesh coupling: when tau_sub > tau_dead the dead links oscillate
-    faster than c and the certificate is optimistic (a
-    TimescaleOrderingWarning is raised when such params are built).
+    faster than c and the certificate is optimistic (``cfl_certificate``
+    then warns with a TimescaleOrderingWarning).
     """
 
     c: float
@@ -352,6 +344,15 @@ class CflCertificate:
 def cfl_certificate(params: ExperimentParams, hmc: HmcParams) -> CflCertificate:
     if params.D <= 0:
         raise ValueError("certificate requires D > 0")
+    if params.tau_sub > params.tau_dead:
+        warnings.warn(
+            f"tau_sub = tau_exp/K = {params.tau_sub:.3g} s exceeds tau_dead = "
+            f"{params.tau_dead:.3g} s; the dead-time link is then the stiffest "
+            "coupling in the prior and the CFL certificate may understate "
+            "the fastest mode (see CflCertificate docs)",
+            TimescaleOrderingWarning,
+            stacklevel=2,
+        )
     c = math.sqrt(hmc.theta / (hmc.mass * params.D * params.tau_sub))
     h_max = 2.0 / c if c > 0 else math.inf
     return CflCertificate(c=c, h_max=h_max, h=hmc.h, stable=hmc.h < h_max)

@@ -25,14 +25,7 @@ import numpy as np
 
 from .integrators import PhaseState, imex_l_steps, svex_l_steps
 from .model import ExperimentParams
-from .posterior import (
-    HmcParams,
-    PosteriorProblem,
-    Scheme,
-    hamiltonian,
-    v_like,
-    v_prior,
-)
+from .posterior import HmcParams, PosteriorProblem, Scheme, hamiltonian
 from .rng import RandomStream
 
 __all__ = [
@@ -129,9 +122,12 @@ def reflect_tail(q: np.ndarray, n: int, k: int, params: ExperimentParams) -> np.
     return out
 
 
-def _link_tau(params: ExperimentParams, pos: int) -> float:
-    """Duration of the link between flat nodes pos and pos+1."""
-    return params.tau_dead if pos % (params.K + 1) == 0 else params.tau_sub
+def _log_ratio(q, pos: int, inv_d: float, tau: list) -> float:
+    """Localized log acceptance ratio of the reflection at flat node pos;
+    tau holds the M-1 link durations."""
+    if pos == len(tau):
+        return 0.0  # head: global negation; tail: identity
+    return -q[pos] * q[pos + 1] * inv_d / tau[pos]
 
 
 def reflection_log_ratio(q: np.ndarray, n: int, k: int, problem: PosteriorProblem) -> float:
@@ -144,27 +140,21 @@ def reflection_log_ratio(q: np.ndarray, n: int, k: int, problem: PosteriorProble
     4 q[pos] q[pos+1] over 4 D tau.  At the final node the head move is a
     global negation and the tail move is the identity, so the ratio is 0.
     """
-    p = problem.params
-    pos = _flat_index(p, n, k)
-    if pos == problem.node_count - 1:
-        return 0.0
-    return -q[pos] * q[pos + 1] / (p.D * _link_tau(p, pos))
+    pos = _flat_index(problem.params, n, k)
+    return _log_ratio(q, pos, 1.0 / problem.params.D, problem._tau)
 
 
-def reflection_update(
-    q: np.ndarray, problem: PosteriorProblem, stream: RandomStream, check: bool = False
-):
+def reflection_update(q: np.ndarray, problem: PosteriorProblem, stream: RandomStream):
     """One reflection sweep, in place; returns (q, number of accepted flips).
 
     One head/tail direction is drawn per sweep, then every node (n, k),
     k >= 1 is visited in mesh order.  Because the likelihood is exactly
     invariant and only one prior link straddles the flipped stretch, the
-    log acceptance ratio localizes to -q[pos] q[pos+1] / (D tau_link); with
-    ``check=True`` each proposal is verified against a full energy
-    recomputation (slow; test use only).
+    log acceptance ratio localizes to -q[pos] q[pos+1] / (D tau_link)
+    (``reflection_log_ratio``).
     """
     p = problem.params
-    m = problem.node_count
+    tau = problem._tau
     head = stream.uniform() < 0.5
     accepted = 0
     inv_d = 1.0 / p.D
@@ -172,12 +162,7 @@ def reflection_update(
         for k in range(1, p.K + 1):
             pos = (n - 1) * (p.K + 1) + k + 1
             u = stream.uniform()
-            if pos == m - 1:
-                log_r = 0.0  # head: global negation; tail: identity
-            else:
-                log_r = -q[pos] * q[pos + 1] * inv_d / _link_tau(p, pos)
-            if check:
-                _check_localized_ratio(q, pos, head, log_r, problem)
+            log_r = _log_ratio(q, pos, inv_d, tau)
             if log_r >= 0.0 or u < math.exp(log_r):
                 if head:
                     q[1 : pos + 1] = -q[1 : pos + 1]
@@ -185,21 +170,6 @@ def reflection_update(
                     q[pos + 1 :] = -q[pos + 1 :]
                 accepted += 1
     return q, accepted
-
-
-def _check_localized_ratio(q, pos, head, log_r, problem):
-    cand = q.copy()
-    if head:
-        cand[1 : pos + 1] = -cand[1 : pos + 1]
-    else:
-        cand[pos + 1 :] = -cand[pos + 1 :]
-    full = (v_prior(q, problem) + v_like(q, problem)) - (
-        v_prior(cand, problem) + v_like(cand, problem)
-    )
-    if abs(full - log_r) > 1e-9 * (1.0 + abs(log_r)):
-        raise AssertionError(
-            f"localized reflection ratio {log_r} != full recomputation {full} at pos {pos}"
-        )
 
 
 def run_chain(

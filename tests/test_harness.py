@@ -350,6 +350,14 @@ def test_cli_certify_reports(tmp_path, capsys):
     assert any(tmp_path.glob("certify_*.csv"))
 
 
+@pytest.mark.filterwarnings("error::fcshmc.model.TimescaleOrderingWarning")
+def test_cli_certify_warns_only_for_the_run_params(tmp_path, capsys):
+    # K = 100 gives tau_sub = 9e-7 s < tau_dead: the timescale warning must
+    # not fire for the default K = 20 the overrides replace
+    assert main(["certify", "--K", "100", "--out", str(tmp_path)]) == EXIT_OK
+    assert "note:" not in capsys.readouterr().out
+
+
 def test_cli_simulate_seed_determinism(tmp_path, capsys):
     for sub in ("a", "b"):
         assert main(["simulate", "--seed", "7", "--N", "3", "--K", "2",

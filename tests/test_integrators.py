@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from fcshmc.integrators import (
     sv_prior_step,
     svex_l_steps,
 )
-from fcshmc.model import ExperimentParams, TimescaleOrderingWarning, simulate
+from fcshmc.model import ExperimentParams, simulate
 from fcshmc.posterior import (
     HmcParams,
     PosteriorProblem,
@@ -30,14 +28,8 @@ from fcshmc.tridiag import (
 )
 
 
-def quiet_params(**kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TimescaleOrderingWarning)
-        return ExperimentParams(**kw)
-
-
 def small_problem(seed=5, n=2, k=2):
-    p = quiet_params(N=n, K=k)
+    p = ExperimentParams(N=n, K=k)
     sim = simulate(RandomStream(seed, 1), p)
     return PosteriorProblem(p, counts=sim.counts)
 
@@ -117,7 +109,7 @@ def test_solver_zero_pivot_raises():
 
 
 def test_laplacian_matvec_annihilates_constants():
-    p = quiet_params(N=2, K=3, tau_dead=1.0, tau_exp=3.0)
+    p = ExperimentParams(N=2, K=3, tau_dead=1.0, tau_exp=3.0)
     lap = fcshmc.posterior.build_laplacian(p)
     assert np.array_equal(tridiag_matvec(lap, np.full(lap.size, 3.0)),
                           np.zeros(lap.size))

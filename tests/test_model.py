@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from _oracles import node_times, refined_window_integral
 from fcshmc.model import (
     ExperimentParams,
-    TimescaleOrderingWarning,
     intensity,
     psf,
     sample_measurements,
@@ -19,13 +17,7 @@ from fcshmc.model import (
 from fcshmc.rng import RandomStream
 
 
-def quiet_params(**kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TimescaleOrderingWarning)
-        return ExperimentParams(**kw)
-
-
-DEFAULT = quiet_params()
+DEFAULT = ExperimentParams()
 
 
 # -- parameters and mesh -----------------------------------------------------
@@ -45,25 +37,15 @@ def test_default_values_match_benchmark_table():
 ])
 def test_invalid_params_rejected(field, value):
     with pytest.raises(ValueError):
-        quiet_params(**{field: value})
+        ExperimentParams(**{field: value})
 
 
 def test_zero_diffusion_is_allowed():
-    assert quiet_params(D=0.0).D == 0.0
-
-
-def test_coarse_submesh_warns():
-    # default table: tau_sub = 4.5e-6 > tau_dead = 1e-6, so the certificate's
-    # single-frequency surrogate misses the stiffer dead links
-    with pytest.warns(TimescaleOrderingWarning):
-        ExperimentParams()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ExperimentParams(tau_dead=1e-3)  # tau_sub <= tau_dead: silent
+    assert ExperimentParams(D=0.0).D == 0.0
 
 
 def test_time_mesh_spacing_pattern():
-    p = quiet_params(N=3, K=4)
+    p = ExperimentParams(N=3, K=4)
     mesh = time_mesh(p)
     assert len(mesh.times) == p.node_count
     assert np.all(np.diff(mesh.times) > 0)
@@ -104,7 +86,7 @@ def test_intensity_center_and_tails():
 def test_signal_constant_center_trajectory():
     # trapezoid is exact on constants: u_n = tau_exp * I(0) = 4.59
     for k in (1, 5, 20):
-        p = quiet_params(K=k)
+        p = ExperimentParams(K=k)
         u = signal(np.zeros(p.node_count), p)
         assert u.shape == (p.N,)
         assert u == pytest.approx(np.full(p.N, 4.59), rel=1e-12)
@@ -117,7 +99,7 @@ def test_signal_background_floor():
 
 
 def test_signal_hand_trapezoid():
-    p = quiet_params(N=1, K=2)
+    p = ExperimentParams(N=1, K=2)
     q = np.array([0.0, 0.0, 0.23, 0.0])
     tau_sub = p.tau_exp / 2
     expect = tau_sub * (intensity(0.0, p) + intensity(0.23, p))
@@ -130,13 +112,13 @@ def test_signal_shape_mismatch():
 
 
 def test_signal_even_in_trajectory():
-    p = quiet_params(N=2, K=3)
+    p = ExperimentParams(N=2, K=3)
     q = RandomStream(0, 0).standard_normals(p.node_count)
     assert np.array_equal(signal(q, p), signal(-q, p))
 
 
 def test_signal_positive_floor_any_trajectory():
-    p = quiet_params(N=4, K=5)
+    p = ExperimentParams(N=4, K=5)
     q = 10.0 * RandomStream(1, 0).standard_normals(p.node_count)
     assert np.all(signal(q, p) >= p.tau_exp * p.I_bg * (1 - 1e-12))
 
@@ -150,7 +132,7 @@ def test_signal_quadrature_refines_at_second_order():
 
     errs = {}
     for k in (8, 16):
-        p = quiet_params(K=k, **base)
+        p = ExperimentParams(K=k, **base)
         q = path(node_times(p))
         q[0] = 0.0
         u = signal(q, p)
@@ -179,13 +161,13 @@ def test_prior_trajectory_pinned_at_zero():
 
 
 def test_prior_trajectory_zero_diffusion_is_frozen():
-    q = sample_prior_trajectory(RandomStream(0, 1), quiet_params(D=0.0))
+    q = sample_prior_trajectory(RandomStream(0, 1), ExperimentParams(D=0.0))
     assert np.all(q == 0.0)
 
 
 def test_prior_increment_variance():
     # one long walk gives 1e6 submesh increments in a single vector draw
-    p = quiet_params(N=250_000, K=4)
+    p = ExperimentParams(N=250_000, K=4)
     q = sample_prior_trajectory(RandomStream(2, 1), p)
     inc = np.diff(q)
     submesh = np.arange(inc.size) % (p.K + 1) != 0
@@ -195,7 +177,7 @@ def test_prior_increment_variance():
 
 
 def test_prior_covariance_matches_pinned_walk():
-    p = quiet_params(N=2, K=3, D=500.0)
+    p = ExperimentParams(N=2, K=3, D=500.0)
     n_samples = 100_000
     paths = np.empty((n_samples, p.node_count))
     for i in range(n_samples):
@@ -241,7 +223,7 @@ def test_measurements_reproducible():
 
 
 def test_simulate_shapes():
-    p = quiet_params(N=5, K=4)
+    p = ExperimentParams(N=5, K=4)
     sim = simulate(RandomStream(0, 1), p)
     assert sim.trajectory.values.shape == (p.node_count,)
     assert sim.signal.shape == (p.N,)
@@ -251,7 +233,7 @@ def test_simulate_shapes():
 
 
 def test_simulate_zero_diffusion_composition():
-    p = quiet_params(D=0.0, N=50)
+    p = ExperimentParams(D=0.0, N=50)
     sim = simulate(RandomStream(3, 1), p)
     assert np.all(sim.trajectory.values == 0.0)
     assert sim.signal == pytest.approx(np.full(p.N, 4.59), rel=1e-12)
@@ -259,7 +241,7 @@ def test_simulate_zero_diffusion_composition():
 
 
 def test_simulate_mean_counts_between_floor_and_center():
-    p = quiet_params(N=200)
+    p = ExperimentParams(N=200)
     sim = simulate(RandomStream(4, 1), p)
     assert 0.09 < sim.counts.mean() < 4.59
 

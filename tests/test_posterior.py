@@ -28,14 +28,8 @@ from fcshmc.posterior import (
 from fcshmc.rng import RandomStream
 
 
-def quiet_params(**kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TimescaleOrderingWarning)
-        return ExperimentParams(**kw)
-
-
 def random_problem(seed, n, k, **overrides):
-    p = quiet_params(N=n, K=k, **overrides)
+    p = ExperimentParams(N=n, K=k, **overrides)
     sim = simulate(RandomStream(seed, 1), p)
     return PosteriorProblem(p, counts=sim.counts), sim
 
@@ -60,7 +54,7 @@ def test_scheme_accepts_plain_strings():
 
 
 def test_problem_validates_counts_and_diffusion():
-    p = quiet_params(N=3, K=2)
+    p = ExperimentParams(N=3, K=2)
     PosteriorProblem(p, counts=np.array([0, 1, 2]))
     with pytest.raises(ValueError):
         PosteriorProblem(p, counts=np.array([1, 2]))  # wrong length
@@ -69,7 +63,7 @@ def test_problem_validates_counts_and_diffusion():
     with pytest.raises(ValueError):
         PosteriorProblem(p, counts=np.array([0.5, 1.0, 2.0]))
     with pytest.raises(ValueError):
-        PosteriorProblem(quiet_params(D=0.0))
+        PosteriorProblem(ExperimentParams(D=0.0))
 
 
 # -- two-scale Laplacian -----------------------------------------------------
@@ -77,7 +71,7 @@ def test_problem_validates_counts_and_diffusion():
 
 def test_laplacian_equal_scales_is_plain_neumann():
     # tau_dead = tau_sub = 1: every coupling is 1, size N(K+1)+1 = 9
-    p = quiet_params(N=2, K=3, tau_dead=1.0, tau_exp=3.0)
+    p = ExperimentParams(N=2, K=3, tau_dead=1.0, tau_exp=3.0)
     assert p.tau_sub == 1.0
     dense = build_laplacian(p).to_dense()
     assert np.array_equal(dense, dense_two_scale_laplacian(2, 3, 1.0, 1.0))
@@ -86,7 +80,7 @@ def test_laplacian_equal_scales_is_plain_neumann():
 
 def test_laplacian_two_scale_pattern():
     # s0 = 0.5, s2 = 2; junction diagonals -(s0 + s2) = -2 s1 with s1 = 1.25
-    p = quiet_params(N=2, K=3, tau_dead=2.0, tau_exp=1.5)
+    p = ExperimentParams(N=2, K=3, tau_dead=2.0, tau_exp=1.5)
     assert p.tau_sub == 0.5
     dense = build_laplacian(p).to_dense()
     assert np.array_equal(dense, dense_two_scale_laplacian(2, 3, 2.0, 0.5))
@@ -96,7 +90,7 @@ def test_laplacian_two_scale_pattern():
 
 def test_laplacian_rows_sum_to_zero():
     for n, k in ((1, 1), (3, 4), (2, 7)):
-        p = quiet_params(N=n, K=k)
+        p = ExperimentParams(N=n, K=k)
         dense = build_laplacian(p).to_dense()
         # couplings are O(1/tau); allow rounding at that scale
         assert np.max(np.abs(dense.sum(axis=1))) < 1e-12 / p.tau_dead
@@ -104,7 +98,7 @@ def test_laplacian_rows_sum_to_zero():
 
 
 def test_laplacian_splits_into_unit_coupling_parts():
-    p = quiet_params(N=3, K=4)
+    p = ExperimentParams(N=3, K=4)
     whole = build_laplacian(p).to_dense()
     parts = (dead_time_coupling(p).to_dense() / p.tau_dead
              + exposure_coupling(p).to_dense() / p.tau_sub)
@@ -118,7 +112,7 @@ def test_negated_laplacian_is_positive_semidefinite():
         k = int(rng.integers(1, 9))
         tau_dead = float(rng.uniform(1e-3, 1.0))
         tau_exp = float(rng.uniform(1e-3, 1.0)) * k
-        p = quiet_params(N=n, K=k, tau_dead=tau_dead, tau_exp=tau_exp)
+        p = ExperimentParams(N=n, K=k, tau_dead=tau_dead, tau_exp=tau_exp)
         eigs = np.linalg.eigvalsh(-build_laplacian(p).to_dense())
         assert eigs.min() >= -1e-10
 
@@ -137,7 +131,7 @@ def test_exposure_block_matches_dense_eigensolve():
 
 
 def test_exposure_coupling_spectrum_is_block_union():
-    p = quiet_params(N=2, K=3)
+    p = ExperimentParams(N=2, K=3)
     eigs = np.linalg.eigvalsh(exposure_coupling(p).to_dense())
     block = exposure_block_eigenvalues(3)
     reference = np.concatenate(([0.0], block, block))
@@ -148,7 +142,7 @@ def test_exposure_coupling_spectrum_is_block_union():
 
 
 def test_v_prior_two_link_formula():
-    p = quiet_params(N=1, K=1, D=2.0, tau_dead=0.01, tau_exp=0.01)
+    p = ExperimentParams(N=1, K=1, D=2.0, tau_dead=0.01, tau_exp=0.01)
     problem = PosteriorProblem(p)
     a, b = 0.7, -0.4
     expect = (a**2 + (b - a) ** 2) / (4 * 2.0 * 0.01)
@@ -163,7 +157,7 @@ def test_v_prior_vanishes_on_constants():
 
 
 def test_v_like_zero_counts_is_signal_sum():
-    p = quiet_params(N=3, K=4)
+    p = ExperimentParams(N=3, K=4)
     problem = PosteriorProblem(p, counts=np.zeros(3, dtype=int))
     q = 0.3 * RandomStream(0, 0).standard_normals(p.node_count)
     assert v_like(q, problem) == pytest.approx(signal(q, p).sum(), rel=1e-13)
@@ -177,7 +171,7 @@ def test_v_like_even_under_global_negation():
 
 
 def test_prior_only_problem_has_no_likelihood():
-    p = quiet_params(N=2, K=2)
+    p = ExperimentParams(N=2, K=2)
     problem = PosteriorProblem(p)  # counts omitted
     q = RandomStream(0, 0).standard_normals(p.node_count)
     assert v_like(q, problem) == 0.0
@@ -232,7 +226,7 @@ def test_grad_shape_mismatch():
 
 
 def test_hamiltonian_zero_state_equals_potential():
-    p = quiet_params(N=3, K=4)
+    p = ExperimentParams(N=3, K=4)
     problem = PosteriorProblem(p, counts=np.zeros(3, dtype=int))
     hmc = HmcParams(theta=0.5)
     m = p.node_count
@@ -241,7 +235,7 @@ def test_hamiltonian_zero_state_equals_potential():
 
 
 def test_hamiltonian_unit_kinetic_increment():
-    p = quiet_params(N=3, K=2)
+    p = ExperimentParams(N=3, K=2)
     problem = PosteriorProblem(p, counts=np.zeros(3, dtype=int))
     hmc = HmcParams(mass=2.5)
     q = np.zeros(p.node_count)
@@ -266,14 +260,14 @@ def test_hamiltonian_split_identity_is_exact():
 
 
 def test_bound_value_on_benchmark_params():
-    p = quiet_params(K=20)
+    p = ExperimentParams(K=20)
     expect = 1.0 / (500.0 * 1e-6) + 2.0 / (500.0 * p.tau_sub)
     assert max_eigenvalue_bound(p) == pytest.approx(expect, rel=1e-14)
     assert max_eigenvalue_bound(p) == pytest.approx(2888.889, rel=1e-4)
 
 
 def test_bound_equal_scales():
-    p = quiet_params(D=2.0, tau_dead=0.05, tau_exp=0.05, K=1)
+    p = ExperimentParams(D=2.0, tau_dead=0.05, tau_exp=0.05, K=1)
     assert max_eigenvalue_bound(p) == pytest.approx(3.0 / (2.0 * 0.05), rel=1e-14)
 
 
@@ -282,35 +276,47 @@ def test_bound_dominates_dense_spectrum():
     for _ in range(6):
         n = int(rng.integers(1, 8))
         k = int(rng.integers(1, 12))
-        p = quiet_params(N=n, K=k, D=float(rng.uniform(1, 1000)),
-                         tau_dead=float(rng.uniform(1e-5, 1e-2)),
-                         tau_exp=float(rng.uniform(1e-5, 1e-2)) * k)
+        p = ExperimentParams(N=n, K=k, D=float(rng.uniform(1, 1000)),
+                             tau_dead=float(rng.uniform(1e-5, 1e-2)),
+                             tau_exp=float(rng.uniform(1e-5, 1e-2)) * k)
         gradient_map = -build_laplacian(p).to_dense() / (2.0 * p.D)
         assert max_eigenvalue_bound(p) > np.linalg.eigvalsh(gradient_map).max()
 
 
 def test_bound_requires_positive_diffusion():
     with pytest.raises(ValueError):
-        max_eigenvalue_bound(quiet_params(D=0.0))
+        max_eigenvalue_bound(ExperimentParams(D=0.0))
 
 
 def test_certificate_benchmark_values():
-    cert = cfl_certificate(quiet_params(K=20), HmcParams(theta=0.5, mass=1.0, h=0.1))
+    cert = cfl_certificate(ExperimentParams(K=20), HmcParams(theta=0.5, mass=1.0, h=0.1))
     assert cert.c == pytest.approx(math.sqrt(0.5 / (500.0 * 4.5e-6)), rel=1e-12)
     assert cert.c == pytest.approx(14.907, rel=1e-4)
     assert cert.h_max == pytest.approx(0.13416, rel=1e-4)
     assert cert.stable
-    assert not cfl_certificate(quiet_params(K=20), HmcParams(h=0.2)).stable
+    assert not cfl_certificate(ExperimentParams(K=20), HmcParams(h=0.2)).stable
+
+
+def test_coarse_submesh_warns():
+    # default table: tau_sub = 4.5e-6 > tau_dead = 1e-6, so the certificate's
+    # single-frequency surrogate misses the stiffer dead links
+    with pytest.warns(TimescaleOrderingWarning, match="tau_sub = tau_exp/K") as record:
+        cfl_certificate(ExperimentParams(), HmcParams())
+    assert record[0].filename == __file__  # points at the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # tau_sub <= tau_dead: silent
+        cfl_certificate(ExperimentParams(tau_dead=1e-3), HmcParams())
 
 
 def test_certificate_zero_theta_unconditional():
-    cert = cfl_certificate(quiet_params(), HmcParams(theta=0.0, h=5.0))
+    cert = cfl_certificate(ExperimentParams(), HmcParams(theta=0.0, h=5.0))
     assert cert.h_max == math.inf
     assert cert.stable
 
 
 def test_certificate_mass_scaling():
-    p = quiet_params()
+    p = ExperimentParams()
     light = cfl_certificate(p, HmcParams(mass=1.0, h=0.01))
     heavy = cfl_certificate(p, HmcParams(mass=4.0, h=0.01))
     assert heavy.h_max == pytest.approx(2 * light.h_max, rel=1e-14)

@@ -1,10 +1,9 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from fcshmc.model import ExperimentParams, TimescaleOrderingWarning, simulate, time_mesh
+from fcshmc.model import ExperimentParams, simulate, time_mesh
 from fcshmc.posterior import HmcParams, PosteriorProblem, v_like, v_prior
 from fcshmc.rng import RandomStream
 from fcshmc.sampler import (
@@ -18,14 +17,8 @@ from fcshmc.sampler import (
 )
 
 
-def quiet_params(**kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TimescaleOrderingWarning)
-        return ExperimentParams(**kw)
-
-
 def seeded_problem(seed=21, n=2, k=3):
-    p = quiet_params(N=n, K=k)
+    p = ExperimentParams(N=n, K=k)
     sim = simulate(RandomStream(seed, 1), p)
     return PosteriorProblem(p, counts=sim.counts)
 
@@ -74,7 +67,7 @@ def test_unstable_step_rejects_and_keeps_state():
 def test_update_consumes_fixed_draw_budget():
     # identical streams stay aligned across problems with different data and
     # different accept/reject patterns
-    p = quiet_params(N=2, K=3)
+    p = ExperimentParams(N=2, K=3)
     dark = PosteriorProblem(p, counts=np.zeros(2, dtype=int))
     lit = PosteriorProblem(p, counts=simulate(RandomStream(24, 1), p).counts)
     hmc = HmcParams(h=0.05, L=8, updates=20, scheme="svex")
@@ -90,7 +83,7 @@ def test_update_consumes_fixed_draw_budget():
 
 
 def test_reflect_segments_and_involution():
-    p = quiet_params(N=2, K=3)
+    p = ExperimentParams(N=2, K=3)
     problem = PosteriorProblem(p)
     q = random_q(problem, 25)
     head = reflect_head(q, 1, 2, p)
@@ -106,7 +99,7 @@ def test_reflect_segments_and_involution():
 
 
 def test_reflect_terminal_node_degenerates():
-    p = quiet_params(N=2, K=2)
+    p = ExperimentParams(N=2, K=2)
     problem = PosteriorProblem(p)
     q = random_q(problem, 26)
     full = reflect_head(q, p.N, p.K, p)
@@ -117,7 +110,7 @@ def test_reflect_terminal_node_degenerates():
 
 
 def test_reflect_rejects_bad_indices():
-    p = quiet_params(N=2, K=3)
+    p = ExperimentParams(N=2, K=3)
     q = np.zeros(p.node_count)
     for n, k in ((0, 1), (1, 0), (3, 1), (1, 4)):
         with pytest.raises(IndexError):
@@ -165,10 +158,34 @@ def test_sweep_leaves_origin_in_place():
     assert accepted == p.N * p.K  # zero-ratio proposals always accepted
 
 
-def test_sweep_self_check_passes():
-    problem = seeded_problem(30)
-    q = random_q(problem, 30, scale=0.2)
-    reflection_update(q, problem, RandomStream(0, 5), check=True)
+def test_sweep_matches_public_single_moves():
+    # The sweep against a loop over the public single moves, from twin
+    # streams: one head/tail draw, then per node (n, k) in mesh order one
+    # uniform, reflection_log_ratio, and reflect_head/reflect_tail on accept.
+    rng = np.random.default_rng(30)
+    accepts = rejects = 0
+    for case in range(40):
+        p = ExperimentParams(N=int(rng.integers(1, 5)), K=int(rng.integers(1, 7)))
+        problem = PosteriorProblem(p)
+        q = (0.01, 0.03, 0.1)[case % 3] * rng.standard_normal(p.node_count)
+        q[0] = 0.0
+        sweep_stream, ref_stream = RandomStream(case, 5), RandomStream(case, 5)
+        swept, n_swept = reflection_update(q.copy(), problem, sweep_stream)
+        ref, n_ref = q.copy(), 0
+        move = reflect_head if ref_stream.uniform() < 0.5 else reflect_tail
+        for n in range(1, p.N + 1):
+            for k in range(1, p.K + 1):
+                u = ref_stream.uniform()
+                log_r = reflection_log_ratio(ref, n, k, problem)
+                if log_r >= 0.0 or u < math.exp(log_r):
+                    ref = move(ref, n, k, p)
+                    n_ref += 1
+        assert np.array_equal(swept, ref)
+        assert n_swept == n_ref
+        assert sweep_stream.uniform() == ref_stream.uniform()
+        accepts += n_ref
+        rejects += p.N * p.K - n_ref
+    assert accepts > 0 and rejects > 0
 
 
 def test_sweep_balances_sign_modes():
@@ -176,8 +193,8 @@ def test_sweep_balances_sign_modes():
     # are the four sign patterns (s, s, t) of the fixed magnitudes below; two
     # share each prior energy level.  Long-run visit frequencies must match
     # the Boltzmann weights (chi-square, 3 dof, alpha = 0.001).
-    p = quiet_params(N=1, K=2, D=1.0, I_ref=5.0, I_bg=1.0,
-                     tau_dead=2.0, tau_exp=1.0)
+    p = ExperimentParams(N=1, K=2, D=1.0, I_ref=5.0, I_bg=1.0,
+                         tau_dead=2.0, tau_exp=1.0)
     problem = PosteriorProblem(p, counts=np.array([2]))
     mags = np.array([0.0, 0.8, 0.9, 0.7])
 
@@ -238,7 +255,7 @@ def test_chain_is_reproducible():
 
 def test_prior_only_chain_recovers_node_variances():
     # without data the marginal at node i is N(0, 2 D t_i)
-    p = quiet_params(N=2, K=3)
+    p = ExperimentParams(N=2, K=3)
     problem = PosteriorProblem(p)
     hmc = HmcParams(h=0.03, L=12, updates=15000, scheme="svex")
     chain = run_chain(np.zeros(p.node_count), problem, hmc, RandomStream(0, 100))
@@ -250,7 +267,7 @@ def test_prior_only_chain_recovers_node_variances():
 
 
 def test_schemes_sample_the_same_posterior():
-    p = quiet_params(N=6, K=6)
+    p = ExperimentParams(N=6, K=6)
     problem = PosteriorProblem(p, counts=simulate(RandomStream(34, 1), p).counts)
     init = np.zeros(p.node_count)
     sv = run_chain(init, problem,
