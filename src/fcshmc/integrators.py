@@ -103,6 +103,13 @@ class MidpointSystem:
     which is algebraically the implicit midpoint rule for the linear prior
     flow.  The left-hand matrix is strictly diagonally dominant (margin 1),
     so the Thomas solver needs no pivoting.
+
+    The three operators are built once per (problem, theta, mass, h) and
+    cached on the problem.  Each operator converts its bands to Python lists
+    on its first use, and ``lhs`` factors itself on its first solve (see
+    ``tridiag``), so a step repeats neither: it runs three O(M) matvec loops
+    and two O(M) substitution loops over its own vectors.  The loops stay
+    Python so that a step's cost stays proportional to M.
     """
 
     h: float

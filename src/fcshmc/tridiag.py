@@ -5,11 +5,21 @@ the per-step hot path of the integrators, and the complexity benchmark checks
 that one integration step costs O(M) wall time; loop kernels keep the cost
 proportional to the system size even for the small M used there, where
 vectorised calls would be dominated by fixed dispatch overhead.
+
+An operator's bands are read-only, so the loops' inputs derived from them are
+built once per operator, on its first matvec or solve, and reused: the bands
+as Python float lists, and the Thomas factorization (pivots and eliminated
+superdiagonal).  Each call then converts only the vector it is given.  It
+does the arithmetic of factoring and solving afresh, in the same order, so
+its result is bit-identical to doing that.  The cached lists share one float
+object among equal entries: the integrators' bands and pivots repeat a few
+values with the mesh period, so a cached list costs one pointer per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,12 +30,26 @@ class SingularSystemError(ValueError):
     """Zero pivot met during elimination; the system has no unique solution."""
 
 
+def _shared_floats(values) -> list:
+    """``values`` as Python floats, equal entries sharing one object.
+
+    Entries are matched by bit pattern, so 0.0 and -0.0 (which compare and
+    hash equal) stay distinct.
+    """
+    bits, index = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                            return_inverse=True)
+    pool = bits.view(np.float64).tolist()
+    return [pool[i] for i in index.tolist()]
+
+
 @dataclass(frozen=True)
 class TridiagonalOperator:
     """Square tridiagonal matrix.
 
     ``sub[i]`` is entry (i+1, i), ``diag[i]`` entry (i, i), ``sup[i]`` entry
-    (i, i+1); sub and sup have length ``size - 1``.
+    (i, i+1); sub and sup have length ``size - 1``.  The bands are stored as
+    read-only float64 copies of the arguments, a symmetric operator's sub and
+    sup as one array.
     """
 
     sub: np.ndarray
@@ -33,13 +57,51 @@ class TridiagonalOperator:
     sup: np.ndarray
 
     def __post_init__(self):
-        n = len(self.diag)
-        if len(self.sub) != n - 1 or len(self.sup) != n - 1:
+        sub, diag, sup = (np.array(b, dtype=np.float64) for b in (self.sub, self.diag, self.sup))
+        if len(sub) != len(diag) - 1 or len(sup) != len(diag) - 1:
             raise ValueError("band lengths must be size-1, size, size-1")
+        if np.array_equal(sub.view(np.int64), sup.view(np.int64)):
+            sup = sub  # symmetric: one array, and one cached list
+        for name, band in (("sub", sub), ("diag", diag), ("sup", sup)):
+            band.flags.writeable = False
+            object.__setattr__(self, name, band)
 
     @property
     def size(self) -> int:
         return len(self.diag)
+
+    @cached_property
+    def _bands(self) -> tuple[list, list, list]:
+        """(sub, diag, sup) as lists for the matvec loop."""
+        sub = _shared_floats(self.sub)
+        sup = sub if self.sup is self.sub else _shared_floats(self.sup)
+        return sub, _shared_floats(self.diag), sup
+
+    @cached_property
+    def _factors(self) -> tuple[list, list, list]:
+        """(sub, pivots, eliminated sup) as lists for the solve loops: the
+        Thomas factorization, without pivoting.
+
+        A zero pivot raises SingularSystemError, and nothing is cached, so
+        every solve with a singular operator raises.
+        """
+        a, b, c = self.sub.tolist(), self.diag.tolist(), self.sup.tolist()
+        n = self.size
+        piv = [0.0] * n
+        cp = [0.0] * n
+        pivot = b[0]
+        if pivot == 0.0:
+            raise SingularSystemError("zero pivot at row 0")
+        piv[0] = pivot
+        cp[0] = c[0] / pivot if n > 1 else 0.0
+        for i in range(1, n):
+            pivot = b[i] - a[i - 1] * cp[i - 1]
+            if pivot == 0.0:
+                raise SingularSystemError(f"zero pivot at row {i}")
+            piv[i] = pivot
+            if i < n - 1:
+                cp[i] = c[i] / pivot
+        return _shared_floats(self.sub), _shared_floats(piv), _shared_floats(cp)
 
     def to_dense(self) -> np.ndarray:
         """Dense copy, for tests and small-system diagnostics."""
@@ -56,7 +118,8 @@ def tridiag_matvec(op: TridiagonalOperator, v) -> np.ndarray:
     n = op.size
     if n == 1:
         return np.array([op.diag[0] * v[0]])
-    a, b, c, x = op.sub.tolist(), op.diag.tolist(), op.sup.tolist(), v.tolist()
+    a, b, c = op._bands
+    x = v.tolist()
     y = [0.0] * n
     y[0] = b[0] * x[0] + c[0] * x[1]
     for i in range(1, n - 1):
@@ -75,23 +138,11 @@ def thomas_solve(op: TridiagonalOperator, rhs) -> np.ndarray:
     if rhs.shape != (op.size,):
         raise ValueError(f"rhs must have shape ({op.size},), got {rhs.shape}")
     n = op.size
-    a, b, c, d = op.sub.tolist(), op.diag.tolist(), op.sup.tolist(), rhs.tolist()
-    cp = [0.0] * n  # eliminated superdiagonal
-    dp = [0.0] * n  # eliminated rhs
-    piv = b[0]
-    if piv == 0.0:
-        raise SingularSystemError("zero pivot at row 0")
-    cp[0] = c[0] / piv if n > 1 else 0.0
-    dp[0] = d[0] / piv
+    a, piv, cp = op._factors
+    x = rhs.tolist()  # eliminated in place, then back-substituted in place
+    x[0] = x[0] / piv[0]
     for i in range(1, n):
-        piv = b[i] - a[i - 1] * cp[i - 1]
-        if piv == 0.0:
-            raise SingularSystemError(f"zero pivot at row {i}")
-        if i < n - 1:
-            cp[i] = c[i] / piv
-        dp[i] = (d[i] - a[i - 1] * dp[i - 1]) / piv
-    x = [0.0] * n
-    x[n - 1] = dp[n - 1]
+        x[i] = (x[i] - a[i - 1] * x[i - 1]) / piv[i]
     for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
+        x[i] = x[i] - cp[i] * x[i + 1]
     return np.array(x)

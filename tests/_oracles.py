@@ -3,10 +3,50 @@
 Nothing here calls into fcshmc's production kernels: matrices are assembled
 dense from their definitions, gradients come from central differences, and
 quadratures from brute-force refinement, so agreement is evidence rather
-than tautology.
+than tautology.  The tridiagonal loops convert the bands and factor the
+matrix afresh on every call, in the arithmetic order the production kernels
+keep while reusing per-operator lists and factorizations.
 """
 
 import numpy as np
+
+
+def tridiag_matvec(op, v):
+    """y = op @ v by the loop, converting the bands on every call."""
+    v = np.asarray(v, dtype=float)
+    n = op.size
+    if n == 1:
+        return np.array([op.diag[0] * v[0]])
+    a, b, c, x = op.sub.tolist(), op.diag.tolist(), op.sup.tolist(), v.tolist()
+    y = [0.0] * n
+    y[0] = b[0] * x[0] + c[0] * x[1]
+    for i in range(1, n - 1):
+        y[i] = a[i - 1] * x[i - 1] + b[i] * x[i] + c[i] * x[i + 1]
+    y[n - 1] = a[n - 2] * x[n - 2] + b[n - 1] * x[n - 1]
+    return np.array(y)
+
+
+def thomas_solve(op, rhs):
+    """Thomas algorithm that factors op afresh on every call; raises
+    ZeroDivisionError on a zero pivot."""
+    rhs = np.asarray(rhs, dtype=float)
+    n = op.size
+    a, b, c, d = op.sub.tolist(), op.diag.tolist(), op.sup.tolist(), rhs.tolist()
+    cp = [0.0] * n  # eliminated superdiagonal
+    dp = [0.0] * n  # eliminated rhs
+    piv = b[0]
+    cp[0] = c[0] / piv if n > 1 else 0.0
+    dp[0] = d[0] / piv
+    for i in range(1, n):
+        piv = b[i] - a[i - 1] * cp[i - 1]
+        if i < n - 1:
+            cp[i] = c[i] / piv
+        dp[i] = (d[i] - a[i - 1] * dp[i - 1]) / piv
+    x = [0.0] * n
+    x[n - 1] = dp[n - 1]
+    for i in range(n - 2, -1, -1):
+        x[i] = dp[i] - cp[i] * x[i + 1]
+    return np.array(x)
 
 
 def central_diff_grad(f, q, scale=1e-6):

@@ -1,9 +1,11 @@
-"""The names the benchmark's tracer patches must exist in the package.
+"""The names the benchmark's tracer patches must exist in the package, and
+a run must call each of them.
 
 ``bench/run.py --trace 1`` replaces each ``(owner, attr)`` of its
-``layer_targets`` at the name its callers look it up by; a renamed or moved
-function would make the traced run fail.  This keeps those names in view of
-the unit tests.
+``layer_targets`` at the name its callers look it up by and reads every
+span's calls; a renamed or moved function, or one no longer called through
+that name, would make the traced run fail.  This keeps those names in view
+of the unit tests.
 """
 
 import importlib
@@ -39,3 +41,20 @@ def test_traced_layer_names_resolve(monkeypatch):
         if not found:
             missing.append((span, attr))
     assert not missing
+
+
+def test_traced_infer_calls_every_layer(monkeypatch, tmp_path):
+    runner = load_bench_runner(monkeypatch)
+    fc = importlib.import_module("fcshmc")
+    config = fc.apply_overrides(fc.default_config("infer", seed=0, out_dir=tmp_path),
+                                dict(N=2, K=3, updates=2))
+    tracer = runner.Tracer()
+    targets = runner.layer_targets(fc)
+    try:
+        for owner, attr, name in targets:
+            tracer.patch(owner, attr, name)
+        fc.exp_infer(config)
+    finally:
+        tracer.restore()
+    layers = tracer.layers()
+    assert [name for _, _, name in targets if name not in layers] == []

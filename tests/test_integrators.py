@@ -1,6 +1,10 @@
+import itertools
+import types
+
 import numpy as np
 import pytest
 
+import _oracles
 import fcshmc.posterior
 from fcshmc.integrators import (
     MidpointSystem,
@@ -99,13 +103,84 @@ def test_solver_residual_on_diagonally_dominant_systems():
 def test_solver_zero_pivot_raises():
     first = TridiagonalOperator(sub=np.ones(1), diag=np.array([0.0, 1.0]),
                                 sup=np.ones(1))
-    with pytest.raises(SingularSystemError):
-        thomas_solve(first, np.ones(2))
     # pivot cancels during elimination: b1 - a0 * c0 / b0 = 0
     later = TridiagonalOperator(sub=np.ones(1), diag=np.array([1.0, 1.0]),
                                 sup=np.ones(1))
-    with pytest.raises(SingularSystemError):
-        thomas_solve(later, np.ones(2))
+    for op in (first, later):
+        for _ in range(3):  # every solve, not only the first
+            with pytest.raises(SingularSystemError):
+                thomas_solve(op, np.ones(2))
+        # the matvec does not need the factorization
+        assert np.array_equal(tridiag_matvec(op, np.ones(2)), op.to_dense() @ np.ones(2))
+
+
+def test_operator_bands_are_read_only_copies():
+    sub, diag, sup = np.ones(2), np.array([4, 5, 6]), np.ones(2)
+    op = TridiagonalOperator(sub=sub, diag=diag, sup=sup)
+    sub[0] = 7.0
+    assert op.sub[0] == 1.0
+    assert op.diag.dtype == np.float64
+    for band in (op.sub, op.diag, op.sup):
+        with pytest.raises(ValueError):
+            band[0] = 2.0
+    assert np.array_equal(tridiag_matvec(op, np.ones(3)), [5.0, 7.0, 7.0])
+
+
+def _twins(sub, diag, sup):
+    """An operator and, for the per-call loops, its bands as given."""
+    raw = types.SimpleNamespace(sub=np.array(sub, dtype=float), diag=np.array(diag, dtype=float),
+                                sup=np.array(sup, dtype=float), size=len(diag))
+    return TridiagonalOperator(sub=sub, diag=diag, sup=sup), raw
+
+
+def _same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+def _random_twins(rng, n, symmetric):
+    sub = rng.normal(size=n - 1)
+    sup = sub.copy() if symmetric else rng.normal(size=n - 1)
+    diag = rng.normal(size=n)
+    # mixed signs of zero in the bands: equal floats that must stay distinct
+    sub[::4] = -0.0
+    sup[::4] = -0.0 if symmetric else 0.0
+    return _twins(sub, diag, sup)
+
+
+def test_kernels_bit_identical_to_the_per_call_loops():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 50):
+        for symmetric in (True, False):
+            for _ in range(5):
+                op, raw = _random_twins(rng, n, symmetric)
+                # repeated calls on one operator reuse its cached lists
+                for _ in range(3):
+                    v = rng.normal(size=n)
+                    v[::3] = -0.0
+                    assert _same_bits(tridiag_matvec(op, v), _oracles.tridiag_matvec(raw, v))
+                    assert _same_bits(thomas_solve(op, v), _oracles.thomas_solve(raw, v))
+
+
+def test_kernels_keep_the_sign_of_zero():
+    # bands of +-0 entries: every sum is of zeros, and its sign tells which
+    # band entry was used where
+    for a, b0, b1, c in itertools.product((0.0, -0.0), repeat=4):
+        op, raw = _twins([a], [b0, b1], [c])
+        for v in itertools.product((1.0, -1.0), repeat=2):
+            assert _same_bits(tridiag_matvec(op, v), _oracles.tridiag_matvec(raw, v))
+        op, raw = _twins([a], [1.0, -1.0], [c])
+        for v in itertools.product((0.0, -0.0), repeat=2):
+            assert _same_bits(thomas_solve(op, v), _oracles.thomas_solve(raw, v))
+
+
+def test_midpoint_kernels_bit_identical_to_the_per_call_loops():
+    system = MidpointSystem.build(small_problem(n=3, k=4), HmcParams(h=0.03, L=5), 0.03)
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        v = rng.normal(size=system.lhs.size)
+        for op in (system.lhs, system.rhs_op, system.scaled_lap):
+            assert _same_bits(tridiag_matvec(op, v), _oracles.tridiag_matvec(op, v))
+        assert _same_bits(thomas_solve(system.lhs, v), _oracles.thomas_solve(system.lhs, v))
 
 
 def test_laplacian_matvec_annihilates_constants():
