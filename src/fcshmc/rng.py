@@ -60,6 +60,10 @@ class RandomStream:
     def standard_normals(self, n: int) -> np.ndarray:
         return self._gen.standard_normal(n)
 
+    def uniforms(self, n: int) -> np.ndarray:
+        """n draws from U[0, 1); leaves the stream where n uniform() calls would."""
+        return self._gen.random(n)
+
     def poissons(self, means: np.ndarray) -> np.ndarray:
         means = np.asarray(means, dtype=float)
         if means.size and means.min() <= 0:

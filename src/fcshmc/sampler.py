@@ -11,9 +11,11 @@ localized prior ratio, letting chains hop between the sign-mirrored modes
 that gradient-based proposals cannot cross.
 
 Draw discipline: every update consumes exactly M-1 normals plus one uniform
-for HMC and one uniform per reflection proposal plus one for the head/tail
-choice, whether or not proposals are accepted, so runs are reproducible from
-the seed alone.
+for HMC, then one uniform for the head/tail choice and one per reflection
+proposal, whether or not proposals are accepted, so runs are reproducible
+from the seed alone.  The sweep takes its N*K proposal uniforms in one
+batched draw, which is the same variate sequence as N*K scalar draws and
+leaves the stream at the same position.
 """
 
 from __future__ import annotations
@@ -147,28 +149,51 @@ def reflection_log_ratio(q: np.ndarray, n: int, k: int, problem: PosteriorProble
 def reflection_update(q: np.ndarray, problem: PosteriorProblem, stream: RandomStream):
     """One reflection sweep, in place; returns (q, number of accepted flips).
 
-    One head/tail direction is drawn per sweep, then every node (n, k),
-    k >= 1 is visited in mesh order.  Because the likelihood is exactly
-    invariant and only one prior link straddles the flipped stretch, the
-    log acceptance ratio localizes to -q[pos] q[pos+1] / (D tau_link)
+    One head/tail direction is drawn per sweep, then one proposal is made at
+    every node (n, k), k >= 1, in mesh order; all N*K proposal uniforms come
+    from one batched draw.  Because the likelihood is exactly invariant and
+    only one prior link straddles the flipped stretch, the log acceptance
+    ratio localizes to -q[pos] q[pos+1] / (D tau_link)
     (``reflection_log_ratio``).
+
+    Every decision is made from the pre-sweep state, which is exact: an
+    earlier head flip leaves q[pos] and q[pos+1] alone, and an earlier tail
+    flip negates both, so their product keeps every bit.  A second pass then
+    negates each entry once if an odd number of accepted flips cover it: for
+    head moves, those at or after its node; for tail moves, those strictly
+    before it.  The sweep is O(M), however many proposals are accepted, and
+    gives the states of flipping node by node bit for bit.
     """
     p = problem.params
     tau = problem._tau
-    head = stream.uniform() < 0.5
-    accepted = 0
     inv_d = 1.0 / p.D
-    for n in range(1, p.N + 1):
-        for k in range(1, p.K + 1):
-            pos = (n - 1) * (p.K + 1) + k + 1
-            u = stream.uniform()
-            log_r = _log_ratio(q, pos, inv_d, tau)
-            if log_r >= 0.0 or u < math.exp(log_r):
-                if head:
-                    q[1 : pos + 1] = -q[1 : pos + 1]
-                else:
-                    q[pos + 1 :] = -q[pos + 1 :]
+    head = stream.uniform() < 0.5
+    us = stream.uniforms(p.N * p.K).tolist()
+    x = q.tolist()
+    flipped = [False] * len(x)
+    accepted = 0
+    i = 0
+    for n in range(p.N):
+        first = n * (p.K + 1) + 2
+        for pos in range(first, first + p.K):
+            log_r = _log_ratio(x, pos, inv_d, tau)
+            if log_r >= 0.0 or us[i] < math.exp(log_r):
+                flipped[pos] = True
                 accepted += 1
+            i += 1
+    if accepted:
+        odd = False
+        if head:
+            for j in range(len(x) - 1, 0, -1):
+                odd ^= flipped[j]
+                if odd:
+                    x[j] = -x[j]
+        else:
+            for j in range(1, len(x)):
+                if odd:
+                    x[j] = -x[j]
+                odd ^= flipped[j]
+        q[1:] = x[1:]
     return q, accepted
 
 

@@ -5,8 +5,13 @@ dense from their definitions, gradients come from central differences, and
 quadratures from brute-force refinement, so agreement is evidence rather
 than tautology.  The tridiagonal loops convert the bands and factor the
 matrix afresh on every call, in the arithmetic order the production kernels
-keep while reusing per-operator lists and factorizations.
+keep while reusing per-operator lists and factorizations.  The reflection
+sweep is the per-node loop: one scalar uniform, the ratio of the current
+state and, on accept, one slice negation per node; the production sweep
+must match it bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -47,6 +52,29 @@ def thomas_solve(op, rhs):
     for i in range(n - 2, -1, -1):
         x[i] = dp[i] - cp[i] * x[i + 1]
     return np.array(x)
+
+
+def reflection_sweep(q, problem, stream):
+    """Reflection sweep, in place: one head/tail draw, then per node in mesh
+    order one scalar uniform, the localized ratio of the current state, and
+    an O(M) slice negation on accept.  Returns (q, accepted flips)."""
+    p = problem.params
+    tau = problem._tau
+    head = stream.uniform() < 0.5
+    accepted = 0
+    inv_d = 1.0 / p.D
+    for n in range(1, p.N + 1):
+        for k in range(1, p.K + 1):
+            pos = (n - 1) * (p.K + 1) + k + 1
+            u = stream.uniform()
+            log_r = 0.0 if pos == len(tau) else -q[pos] * q[pos + 1] * inv_d / tau[pos]
+            if log_r >= 0.0 or u < math.exp(log_r):
+                if head:
+                    q[1 : pos + 1] = -q[1 : pos + 1]
+                else:
+                    q[pos + 1 :] = -q[pos + 1 :]
+                accepted += 1
+    return q, accepted
 
 
 def central_diff_grad(f, q, scale=1e-6):

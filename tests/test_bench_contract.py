@@ -43,18 +43,30 @@ def test_traced_layer_names_resolve(monkeypatch):
     assert not missing
 
 
-def test_traced_infer_calls_every_layer(monkeypatch, tmp_path):
+def traced_layers_not_called(monkeypatch, tmp_path, experiment, overrides, **kwargs):
     runner = load_bench_runner(monkeypatch)
     fc = importlib.import_module("fcshmc")
-    config = fc.apply_overrides(fc.default_config("infer", seed=0, out_dir=tmp_path),
-                                dict(N=2, K=3, updates=2))
+    config = fc.apply_overrides(fc.default_config(experiment, seed=0, out_dir=tmp_path),
+                                overrides)
     tracer = runner.Tracer()
     targets = runner.layer_targets(fc)
     try:
         for owner, attr, name in targets:
             tracer.patch(owner, attr, name)
-        fc.exp_infer(config)
+        fc.harness.EXPERIMENTS[experiment](config, **kwargs)
     finally:
         tracer.restore()
     layers = tracer.layers()
-    assert [name for _, _, name in targets if name not in layers] == []
+    return [name for _, _, name in targets if name not in layers]
+
+
+def test_traced_infer_calls_every_layer(monkeypatch, tmp_path):
+    assert traced_layers_not_called(monkeypatch, tmp_path, "infer",
+                                    dict(N=2, K=3, updates=2)) == []
+
+
+def test_traced_sweep_calls_every_layer(monkeypatch, tmp_path):
+    # the efficiency sweep behind the sweep-tiny workload
+    assert traced_layers_not_called(monkeypatch, tmp_path, "efficiency",
+                                    dict(N=2, K=3, sweep="0.03", updates_per_point=2),
+                                    l_values=[2, 3]) == []

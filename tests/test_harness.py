@@ -29,6 +29,7 @@ from fcshmc.harness import (
 from fcshmc.integrators import PhaseState
 from fcshmc.model import ExperimentParams
 from fcshmc.posterior import HmcParams, Scheme, cfl_certificate
+from fcshmc.rng import RandomStream
 
 
 def read_rows(path):
@@ -330,6 +331,27 @@ def test_run_meta_replays_the_config(tmp_path, name):
     # every config key is recorded; a run without a sweep has none to record
     assert set(CONFIG_KEYS) - set(recorded) == ({"sweep"} if config.sweep is None else set())
     assert apply_overrides(default_config(name), recorded) == config
+
+
+@pytest.mark.parametrize("name", sorted(set(GOLDEN_RUNS) - {"certify"}) + ["complexity"])
+def test_experiment_opens_each_stream_once(monkeypatch, tmp_path, name):
+    # the ad hoc stream ids of the roles (data, initial state, chains, sweep
+    # points) must not alias within a run: a repeated (seed, stream_id)
+    # would hand two roles the same draws.  certify draws nothing.
+    opened = []
+    init = RandomStream.__init__
+
+    def record(self, seed, stream_id=0):
+        opened.append((seed, stream_id))
+        init(self, seed, stream_id)
+
+    monkeypatch.setattr(RandomStream, "__init__", record)
+    if name == "complexity":
+        exp_complexity(small_config("complexity", tmp_path, sweep="5 8", repeats=1))
+    else:
+        golden_run(name, tmp_path)
+    assert opened
+    assert len(set(opened)) == len(opened), sorted(opened)
 
 
 # -- command line ------------------------------------------------------------

@@ -37,6 +37,17 @@ def test_scalar_and_vector_draws_agree():
     assert np.array_equal(vector.standard_normals(300), one_by_one)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_uniforms_match_scalar_uniform_draws(n):
+    # the reflection sweep draws its proposal uniforms in one call and must
+    # see the scalar sequence and leave the stream where it would be
+    scalar = RandomStream(8, 4)
+    vector = RandomStream(8, 4)
+    one_by_one = np.array([scalar.uniform() for _ in range(n)])
+    assert np.array_equal(vector.uniforms(n), one_by_one)
+    assert vector.uniform() == scalar.uniform()
+
+
 def test_standard_normal_moments():
     draws = RandomStream(0, 1).standard_normals(1_000_000)
     assert abs(draws.mean()) < 0.005

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracles
 from fcshmc.model import ExperimentParams, simulate, time_mesh
 from fcshmc.posterior import HmcParams, PosteriorProblem, v_like, v_prior
 from fcshmc.rng import RandomStream
@@ -186,6 +187,86 @@ def test_sweep_matches_public_single_moves():
         accepts += n_ref
         rejects += p.N * p.K - n_ref
     assert accepts > 0 and rejects > 0
+
+
+def assert_sweep_matches_oracle(q, problem, seed, sweeps=1):
+    """Run the sweep and the oracle loop from twin streams on copies of q;
+    returns (first sweep made head moves, accepted flips, proposals)."""
+    fast, ref = q.copy(), q.copy()
+    fast_stream, ref_stream = RandomStream(seed, 5), RandomStream(seed, 5)
+    accepts = 0
+    for _ in range(sweeps):
+        out, n_fast = reflection_update(fast, problem, fast_stream)
+        _, n_ref = _oracles.reflection_sweep(ref, problem, ref_stream)
+        assert out is fast
+        assert np.array_equal(fast, ref)
+        assert np.array_equal(np.signbit(fast), np.signbit(ref))
+        assert n_fast == n_ref
+        accepts += n_ref
+    assert fast_stream.uniform() == ref_stream.uniform()
+    head = RandomStream(seed, 5).uniform() < 0.5
+    return head, accepts, sweeps * problem.params.N * problem.params.K
+
+
+def test_sweep_matches_oracle_on_flip_heavy_states():
+    # all-zero and 1e-6-scale states accept (almost) every proposal
+    heads = 0
+    for case in range(24):
+        p = ExperimentParams(N=1 + 7 * (case % 8), K=1 + case % 20)
+        problem = PosteriorProblem(p)
+        q = np.zeros(p.node_count) if case % 2 else \
+            1e-6 * np.random.default_rng(case).standard_normal(p.node_count)
+        q[0] = 0.0
+        drew_head, accepts, proposals = assert_sweep_matches_oracle(q, problem, 100 + case)
+        assert accepts >= 0.9 * proposals
+        heads += drew_head
+    assert 0 < heads < 24
+
+
+def test_sweep_matches_oracle_on_signed_zeros():
+    rng = np.random.default_rng(36)
+    heads = 0
+    for case in range(30):
+        p = ExperimentParams(N=int(rng.integers(1, 6)), K=int(rng.integers(1, 8)))
+        problem = PosteriorProblem(p)
+        q = 0.1 * rng.standard_normal(p.node_count)
+        pick = rng.integers(0, 3, size=p.node_count)
+        q[pick == 1] = 0.0
+        q[pick == 2] = -0.0
+        q[0] = 0.0
+        drew_head, _, _ = assert_sweep_matches_oracle(q, problem, 200 + case)
+        heads += drew_head
+    assert 0 < heads < 30
+
+
+def test_sweep_matches_oracle_on_random_meshes():
+    # N up to 50, K up to 20, scales from flip-heavy to flip-rare, several
+    # sweeps in a row on the same state
+    rng = np.random.default_rng(37)
+    heads = accepts = proposals = 0
+    for case in range(40):
+        p = ExperimentParams(N=int(rng.integers(1, 51)), K=int(rng.integers(1, 21)))
+        problem = PosteriorProblem(p)
+        q = (1e-3, 0.01, 0.1, 1.0)[case % 4] * rng.standard_normal(p.node_count)
+        q[0] = 0.0
+        drew_head, n_acc, n_prop = assert_sweep_matches_oracle(q, problem, 300 + case)
+        assert_sweep_matches_oracle(q, problem, 400 + case, sweeps=3)
+        heads += drew_head
+        accepts += n_acc
+        proposals += n_prop
+    assert 0 < heads < 40
+    assert 0 < accepts < proposals
+
+
+def test_sweep_matches_oracle_at_ten_thousand_nodes():
+    p = ExperimentParams(N=500, K=20)
+    problem = PosteriorProblem(p)
+    assert p.node_count == 10_501
+    rng = np.random.default_rng(38)
+    for seed, q in enumerate((np.zeros(p.node_count),
+                              0.05 * rng.standard_normal(p.node_count))):
+        q[0] = 0.0
+        assert_sweep_matches_oracle(q, problem, 500 + seed)
 
 
 def test_sweep_balances_sign_modes():
