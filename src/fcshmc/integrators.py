@@ -54,21 +54,13 @@ class PhaseState:
 
 
 def _sv_step(state, gradient, h, drift_coeff):
-    """Generic Verlet: half kick, drift, half kick; anchor slot frozen.
-
-    A zero drift coefficient (the likelihood step at theta = 1, the prior
-    step at theta = 0) leaves q where it is, so the drift and the second
-    gradient are skipped and both half kicks use the first gradient.  Only
-    the sign of exact-zero entries of q can differ from drifting by zero
-    (q + 0.0 turns -0.0 into +0.0), and a non-finite p no longer reaches q.
-    """
+    """Generic Verlet: half kick, drift, half kick; anchor slot frozen."""
     q = state.q.copy()
     p = state.p.copy()
     g = gradient(q)
     p[1:] -= 0.5 * h * g[1:]
-    if drift_coeff != 0.0:
-        q[1:] += h * drift_coeff * p[1:]
-        g = gradient(q)
+    q[1:] += h * drift_coeff * p[1:]
+    g = gradient(q)
     p[1:] -= 0.5 * h * g[1:]
     return PhaseState(q=q, p=p)
 

@@ -158,11 +158,12 @@ def reflection_update(q: np.ndarray, problem: PosteriorProblem, stream: RandomSt
 
     Every decision is made from the pre-sweep state, which is exact: an
     earlier head flip leaves q[pos] and q[pos+1] alone, and an earlier tail
-    flip negates both, so their product keeps every bit.  A second pass then
-    negates each entry once if an odd number of accepted flips cover it: for
-    head moves, those at or after its node; for tail moves, those strictly
-    before it.  The sweep is O(M), however many proposals are accepted, and
-    gives the states of flipping node by node bit for bit.
+    flip negates both, so their product keeps every bit.  A cumulative XOR
+    over the accepted nodes then negates each entry once if an odd number of
+    accepted flips cover it: for head moves, those at or after its node; for
+    tail moves, those strictly before it.  The sweep is O(M), however many
+    proposals are accepted, and gives the states of flipping node by node
+    bit for bit, the sign of zero included.
     """
     p = problem.params
     tau = problem._tau
@@ -170,31 +171,24 @@ def reflection_update(q: np.ndarray, problem: PosteriorProblem, stream: RandomSt
     head = stream.uniform() < 0.5
     us = stream.uniforms(p.N * p.K).tolist()
     x = q.tolist()
-    flipped = [False] * len(x)
-    accepted = 0
+    flips = []
     i = 0
     for n in range(p.N):
         first = n * (p.K + 1) + 2
         for pos in range(first, first + p.K):
             log_r = _log_ratio(x, pos, inv_d, tau)
             if log_r >= 0.0 or us[i] < math.exp(log_r):
-                flipped[pos] = True
-                accepted += 1
+                flips.append(pos)
             i += 1
-    if accepted:
-        odd = False
-        if head:
-            for j in range(len(x) - 1, 0, -1):
-                odd ^= flipped[j]
-                if odd:
-                    x[j] = -x[j]
-        else:
-            for j in range(1, len(x)):
-                if odd:
-                    x[j] = -x[j]
-                odd ^= flipped[j]
-        q[1:] = x[1:]
-    return q, accepted
+    odd = np.zeros(len(x), dtype=bool)
+    odd[flips] = True
+    if head:
+        odd = np.logical_xor.accumulate(odd[::-1])[::-1]
+    else:
+        odd[1:] = np.logical_xor.accumulate(odd[:-1])
+    odd[0] = False  # the anchor q[0] is never flipped
+    np.negative(q, out=q, where=odd)
+    return q, len(flips)
 
 
 def run_chain(

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import _oracles
-import fcshmc.integrators
 import fcshmc.posterior
 from fcshmc.integrators import (
     MidpointSystem,
@@ -25,7 +24,6 @@ from fcshmc.posterior import (
     hamiltonian_prior,
 )
 from fcshmc.rng import RandomStream
-from fcshmc.sampler import hmc_update
 from fcshmc.tridiag import (
     SingularSystemError,
     TridiagonalOperator,
@@ -255,63 +253,6 @@ def test_likelihood_step_theta_one_freezes_positions():
     expect = st.p.copy()
     expect[1:] -= hmc.h * kick[1:]
     assert np.allclose(out.p, expect, rtol=0, atol=1e-12)
-
-
-def drift_by_zero_sv_step(state, gradient, h, drift_coeff):
-    """Verlet that always drifts and takes the second gradient."""
-    q = state.q.copy()
-    p = state.p.copy()
-    g = gradient(q)
-    p[1:] -= 0.5 * h * g[1:]
-    q[1:] += h * drift_coeff * p[1:]
-    g = gradient(q)
-    p[1:] -= 0.5 * h * g[1:]
-    return PhaseState(q=q, p=p)
-
-
-def assert_equal_but_zero_signs(a, b):
-    assert np.array_equal(a, b)
-    assert np.all((np.signbit(a) == np.signbit(b)) | (a == 0.0))
-
-
-def test_zero_drift_steps_match_drifting_by_zero(monkeypatch):
-    # sv_likelihood_step at theta = 1 and sv_prior_step at theta = 0 skip the
-    # drift and the second gradient; only the sign of exact-zero q entries
-    # may differ from drifting by zero, and on these states some do
-    problem = small_problem(n=3, k=4)
-    states = []
-    for seed in range(6):
-        st = random_state(problem, seed=seed)
-        st.q[1::3] = 0.0
-        st.q[2::3] = -0.0
-        states.append(st)
-    cases = ((sv_likelihood_step, HmcParams(h=0.07, theta=1.0)),
-             (sv_prior_step, HmcParams(h=0.02, theta=0.0)),
-             (imex_l_steps, HmcParams(h=0.1, L=4, theta=1.0)))
-    for step, hmc in cases:
-        skipped = [step(st, problem, hmc) for st in states]
-        with monkeypatch.context() as m:
-            m.setattr(fcshmc.integrators, "_sv_step", drift_by_zero_sv_step)
-            drifted = [step(st, problem, hmc) for st in states]
-        for a, b in zip(skipped, drifted):
-            assert_equal_but_zero_signs(a.q, b.q)
-            assert_equal_but_zero_signs(a.p, b.p)
-        if step is not imex_l_steps:
-            assert any(np.any(np.signbit(a.q) != np.signbit(b.q))
-                       for a, b in zip(skipped, drifted))
-
-
-@pytest.mark.parametrize("theta, per_step", [(1.0, 1), (0.5, 2)])
-def test_imex_update_likelihood_gradient_count(monkeypatch, theta, per_step):
-    problem = small_problem()
-    hmc = HmcParams(h=0.03, L=7, theta=theta, scheme="imex")
-    calls = []
-    true_grad = fcshmc.posterior.grad_v_like
-    monkeypatch.setattr(
-        fcshmc.posterior, "grad_v_like",
-        lambda q, prob: calls.append(1) or true_grad(q, prob))
-    hmc_update(random_state(problem).q, problem, hmc, RandomStream(0, 3))
-    assert len(calls) == per_step * hmc.L
 
 
 def test_prior_step_stable_below_certificate():
