@@ -592,7 +592,10 @@ def exp_complexity(config: ExperimentConfig, write):
             walls[scheme] = best
         rows.append((k, walls[Scheme.SVEX], walls[Scheme.IMEX]))
     write(["K", "wall_svex_sec", "wall_imex_sec"], rows)
-    return dict(rows=rows), {"timing": "integration only, operators prebuilt"}
+    ks, svex, imex = zip(*rows)
+    return dict(rows=rows), {"timing": "integration only, operators prebuilt",
+                             "slope_svex": fit_loglog_slope(ks, svex),
+                             "slope_imex": fit_loglog_slope(ks, imex)}
 
 
 EXPERIMENTS = {

@@ -16,6 +16,11 @@ The L-step drivers telescope adjacent half maps: SVEX merges the paired half
 kicks of the full-potential leapfrog (L+1 gradient evaluations total), and
 IMEX merges the paired half midpoint maps of the Strang composition into full
 ones (L-1 interior full midpoint steps plus the two boundary halves).
+
+Each map copies its input state once and returns the copies.  Verlet maps
+scale each fresh gradient in place and make one temporary per drift; the
+midpoint map adds its right-hand-side terms into the matvec results and makes
+one temporary, its drift term.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseState:
     """Positions and momenta on the flat mesh (slot 0 is the pinned anchor)."""
 
@@ -53,41 +58,40 @@ class PhaseState:
             raise ValueError("q and p must have matching shapes")
 
 
-def _sv_step(state, gradient, h, drift_coeff):
-    """Generic Verlet: half kick, drift, half kick; anchor slot frozen."""
+def _sv_step(state, gradient, problem, h, drift_coeff):
+    """Generic Verlet: half kick, drift, half kick; anchor slot frozen.
+
+    ``gradient(q, problem)`` must return a fresh array: it is scaled in place.
+    """
     q = state.q.copy()
     p = state.p.copy()
-    g = gradient(q)
-    p[1:] -= 0.5 * h * g[1:]
-    q[1:] += h * drift_coeff * p[1:]
-    g = gradient(q)
-    p[1:] -= 0.5 * h * g[1:]
+    qa, pa = q[1:], p[1:]
+    kick, drift = 0.5 * h, h * drift_coeff
+    g = gradient(q, problem)
+    g *= kick
+    pa -= g[1:]
+    qa += drift * pa
+    g = gradient(q, problem)
+    g *= kick
+    pa -= g[1:]
     return PhaseState(q=q, p=p)
 
 
 def sv_full_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """Verlet step for the complete Hamiltonian (kinetic weight 1/m)."""
-    return _sv_step(state, lambda q: posterior.grad_v(q, problem), hmc.h, 1.0 / hmc.mass)
+    return _sv_step(state, posterior.grad_v, problem, hmc.h, 1.0 / hmc.mass)
 
 
 def sv_likelihood_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """Verlet step for the likelihood subsystem (kinetic weight (1-theta)/m)."""
     return _sv_step(
-        state,
-        lambda q: posterior.grad_v_like(q, problem),
-        hmc.h,
-        (1.0 - hmc.theta) / hmc.mass,
+        state, posterior.grad_v_like, problem, hmc.h, (1.0 - hmc.theta) / hmc.mass
     )
 
 
 def sv_prior_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """Verlet step for the prior subsystem (kinetic weight theta/m)."""
-    return _sv_step(
-        state,
-        lambda q: posterior.grad_v_prior(q, problem),
-        hmc.h,
-        hmc.theta / hmc.mass,
-    )
+    return _sv_step(state, posterior.grad_v_prior, problem, hmc.h, hmc.theta / hmc.mass)
 
 
 @dataclass(frozen=True)
@@ -156,8 +160,10 @@ def midpoint_prior_step(state: PhaseState, system: MidpointSystem) -> PhaseState
     prior energy of the active coordinates up to solver round-off."""
     qa = state.q[1:]
     pa = state.p[1:]
-    rhs_q = tridiag_matvec(system.rhs_op, qa) + system.drift_coeff * pa
-    rhs_p = tridiag_matvec(system.rhs_op, pa) + tridiag_matvec(system.scaled_lap, qa)
+    rhs_q = tridiag_matvec(system.rhs_op, qa)
+    rhs_q += system.drift_coeff * pa
+    rhs_p = tridiag_matvec(system.rhs_op, pa)
+    rhs_p += tridiag_matvec(system.scaled_lap, qa)
     q = state.q.copy()
     p = state.p.copy()
     q[1:] = thomas_solve(system.lhs, rhs_q)
@@ -196,15 +202,17 @@ def imex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -
 def svex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """L leapfrog steps of the full Hamiltonian with merged half kicks
     (L+1 gradient evaluations)."""
-    h, mass, L = hmc.h, hmc.mass, hmc.L
+    h, L = hmc.h, hmc.L
+    kick, drift = 0.5 * h, h / hmc.mass
     q = state.q.copy()
     p = state.p.copy()
+    qa, pa = q[1:], p[1:]
     g = posterior.grad_v(q, problem)
-    p[1:] -= 0.5 * h * g[1:]
+    pa -= kick * g[1:]
     for ell in range(1, L + 1):
-        q[1:] += (h / mass) * p[1:]
+        qa += drift * pa
         g = posterior.grad_v(q, problem)
         if ell < L:
-            p[1:] -= h * g[1:]
-    p[1:] -= 0.5 * h * g[1:]
+            pa -= h * g[1:]
+    pa -= kick * g[1:]
     return PhaseState(q=q, p=p)

@@ -22,7 +22,13 @@ energies, making H == H_like + H_prior an exact identity, not just an
 algebraic one.
 
 Energy and gradient kernels are plain loops for the same reason as in
-``tridiag``: per-call cost must scale with the trajectory length.
+``tridiag``: per-call cost must scale with the trajectory length.  The
+likelihood gradient takes one ``math.exp`` pass over the mesh, computes per
+window only the profile sum, the force and the two quadrature-weighted
+coefficients (window ends and interior), and forms every node's entry in one
+more pass.  ``PosteriorProblem`` binds the per-problem constants the kernels
+read (node count, K, tau_sub, K I_bg, I_ref and the link lists) once, at
+construction.
 """
 
 from __future__ import annotations
@@ -185,10 +191,16 @@ class PosteriorProblem:
         self._inv2w = 1.0 / (2.0 * p.omega)
         self._dIdx = p.I_ref / p.omega  # |dI/dx| prefactor
         self._w = None if self.counts is None else [float(x) for x in self.counts]
+        # per-problem constants the kernels read on every call
+        self._m = p.node_count
+        self._k = p.K
+        self._tau_sub = p.tau_sub
+        self._k_ibg = p.K * p.I_bg
+        self._i_ref = p.I_ref
 
     @property
     def node_count(self) -> int:
-        return self.params.node_count
+        return self._m
 
 
 # -- energies ---------------------------------------------------------------
@@ -211,11 +223,11 @@ def v_like(q: np.ndarray, problem: PosteriorProblem) -> float:
         return 0.0
     p = problem.params
     x = np.asarray(q, dtype=float).tolist()
-    inv2w, i_bg, i_ref = problem._inv2w, p.I_bg, p.I_ref
-    tau, kk = p.tau_sub, p.K
+    inv2w, i_bg, i_ref = problem._inv2w, p.I_bg, problem._i_ref
+    tau, kk = problem._tau_sub, problem._k
     w = problem._w
     acc = 0.0
-    for n in range(p.N):
+    for n in range(len(w)):
         base = 1 + n * (kk + 1)
         xv = x[base]
         s = 0.5 * (i_bg + i_ref * math.exp(-xv * xv * inv2w))
@@ -235,7 +247,7 @@ def v_like(q: np.ndarray, problem: PosteriorProblem) -> float:
 def grad_v_prior(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
     """d V_prior / d q = -(1/2D) Lap q, assembled link-wise."""
     x = np.asarray(q, dtype=float)
-    m = problem.node_count
+    m = problem._m
     if x.shape != (m,):
         raise ValueError(f"trajectory must have shape ({m},), got {x.shape}")
     xs = x.tolist()
@@ -252,33 +264,39 @@ def grad_v_prior(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
 def grad_v_like(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
     """d V_like / d q; zero at the anchor node (no quadrature weight there)."""
     x = np.asarray(q, dtype=float)
-    m = problem.node_count
+    m = problem._m
     if x.shape != (m,):
         raise ValueError(f"trajectory must have shape ({m},), got {x.shape}")
-    if problem._w is None:
-        return np.zeros(m)
-    p = problem.params
-    xs = x.tolist()
-    inv2w, i_bg, i_ref, didx = problem._inv2w, p.I_bg, p.I_ref, problem._dIdx
-    tau, kk = p.tau_sub, p.K
     w = problem._w
-    g = [0.0] * m
-    for n in range(p.N):
+    if w is None:
+        return np.zeros(m)
+    xs = x.tolist()
+    inv2w, didx = problem._inv2w, problem._dIdx
+    tau, kk, k_ibg, i_ref = problem._tau_sub, problem._k, problem._k_ibg, problem._i_ref
+    prof = [math.exp(-v * v * inv2w) for v in xs]
+    # dV/dq_j = -f_n c_k didx q_j prof_j over window n's node k, with
+    # quadrature weight c_k = 1/2 at the window's two end nodes, 1 inside
+    coef = [0.0]
+    for n in range(len(w)):
         base = 1 + n * (kk + 1)
-        prof = [math.exp(-xs[j] * xs[j] * inv2w) for j in range(base, base + kk + 1)]
-        s = 0.5 * (prof[0] + prof[kk]) + sum(prof[1:kk])
-        u = tau * (kk * i_bg + i_ref * s)
+        # builtin sum adds left to right before Python 3.12 (3.12 compensates)
+        s = 0.5 * (prof[base] + prof[base + kk]) + sum(prof[base + 1 : base + kk])
+        u = tau * (k_ibg + i_ref * s)
         f = (1.0 - w[n] / u) * tau
-        for k in range(kk + 1):
-            c = 0.5 if (k == 0 or k == kk) else 1.0
-            j = base + k
-            g[j] += -f * c * didx * xs[j] * prof[k]
+        row = [-f * didx] * (kk + 1)
+        row[0] = row[kk] = -f * 0.5 * didx
+        coef += row
+    # + 0.0 turns -0.0 into +0.0, as accumulating into a zeroed list would
+    g = [c * v * e + 0.0 for c, v, e in zip(coef, xs, prof)]
+    g[0] = 0.0
     return np.array(g)
 
 
 def grad_v(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
     """Gradient of the full potential V_like + V_prior."""
-    return grad_v_prior(q, problem) + grad_v_like(q, problem)
+    g = grad_v_prior(q, problem)
+    g += grad_v_like(q, problem)
+    return g
 
 
 # -- Hamiltonians -----------------------------------------------------------

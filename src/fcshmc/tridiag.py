@@ -113,9 +113,9 @@ class TridiagonalOperator:
 
 def tridiag_matvec(op: TridiagonalOperator, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (op.size,):
-        raise ValueError(f"vector must have shape ({op.size},), got {v.shape}")
     n = op.size
+    if v.shape != (n,):
+        raise ValueError(f"vector must have shape ({n},), got {v.shape}")
     if n == 1:
         return np.array([op.diag[0] * v[0]])
     a, b, c = op._bands
@@ -135,9 +135,9 @@ def thomas_solve(op: TridiagonalOperator, rhs) -> np.ndarray:
     raises SingularSystemError on an exactly zero pivot.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (op.size,):
-        raise ValueError(f"rhs must have shape ({op.size},), got {rhs.shape}")
     n = op.size
+    if rhs.shape != (n,):
+        raise ValueError(f"rhs must have shape ({n},), got {rhs.shape}")
     a, piv, cp = op._factors
     x = rhs.tolist()  # eliminated in place, then back-substituted in place
     x[0] = x[0] / piv[0]

@@ -8,7 +8,8 @@ matrix afresh on every call, in the arithmetic order the production kernels
 keep while reusing per-operator lists and factorizations.  The reflection
 sweep is the per-node loop: one scalar uniform, the ratio of the current
 state and, on accept, one slice negation per node; the production sweep
-must match it bit for bit.
+must match it bit for bit.  The likelihood gradient is the per-window loop:
+each window's profile, sum and force, accumulated into a zeroed list.
 """
 
 import math
@@ -75,6 +76,30 @@ def reflection_sweep(q, problem, stream):
                     q[pos + 1 :] = -q[pos + 1 :]
                 accepted += 1
     return q, accepted
+
+
+def grad_v_like(q, problem):
+    """d V_like / d q by the per-window loop, constants read from the
+    parameters on every call; the anchor entry stays +0.0."""
+    p = problem.params
+    xs = np.asarray(q, dtype=float).tolist()
+    g = [0.0] * p.node_count
+    if problem.counts is None:
+        return np.array(g)
+    w = [float(c) for c in problem.counts]
+    inv2w, didx = 1.0 / (2.0 * p.omega), p.I_ref / p.omega
+    tau, kk = p.tau_sub, p.K
+    for n in range(p.N):
+        base = 1 + n * (kk + 1)
+        prof = [math.exp(-xs[j] * xs[j] * inv2w) for j in range(base, base + kk + 1)]
+        s = 0.5 * (prof[0] + prof[kk]) + sum(prof[1:kk])
+        u = tau * (kk * p.I_bg + p.I_ref * s)
+        f = (1.0 - w[n] / u) * tau
+        for k in range(kk + 1):
+            c = 0.5 if (k == 0 or k == kk) else 1.0
+            j = base + k
+            g[j] += -f * c * didx * xs[j] * prof[k]
+    return np.array(g)
 
 
 def central_diff_grad(f, q, scale=1e-6):

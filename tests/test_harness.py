@@ -237,7 +237,11 @@ def test_complexity_times_both_schemes(tmp_path):
     assert header == ["K", "wall_svex_sec", "wall_imex_sec"]
     assert [int(r[0]) for r in rows] == [5, 8]
     assert all(float(r[1]) > 0 and float(r[2]) > 0 for r in rows)
-    assert "timing = integration only, operators prebuilt" in result.paths[1].read_text()
+    meta = result.paths[1].read_text()
+    assert "timing = integration only, operators prebuilt" in meta
+    ks, svex, imex = zip(*result.rows)
+    assert f"# slope_svex = {fit_loglog_slope(ks, svex)}\n" in meta
+    assert f"# slope_imex = {fit_loglog_slope(ks, imex)}\n" in meta
 
 
 def test_infer_writes_chains_and_samples(tmp_path):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import _oracles
 from _oracles import central_diff_grad, dense_neumann_block, dense_two_scale_laplacian
 from fcshmc.model import ExperimentParams, TimescaleOrderingWarning, signal, simulate
 from fcshmc.posterior import (
@@ -212,6 +213,49 @@ def test_grad_anchor_entry_carries_no_likelihood():
     problem, _ = random_problem(8, 2, 3)
     q = RandomStream(8, 0).standard_normals(problem.node_count)
     assert grad_v_like(q, problem)[0] == 0.0
+
+
+def _oracle_cases(count, seed):
+    """(problem, q) pairs over N 1..12, K 1..15 (K = 1 has no interior
+    node), zero counts, four state scales, all-zero states, random +-0
+    entries and nonzero or non-finite anchors."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        p = ExperimentParams(N=int(rng.integers(1, 13)), K=int(rng.integers(1, 16)))
+        counts = rng.integers(0, 6, p.N)
+        counts[rng.random(p.N) < 0.3] = 0
+        problem = PosteriorProblem(p, counts=None if case % 25 == 0 else counts)
+        q = (1e-6, 0.1, 1.0, 5.0)[case % 4] * rng.standard_normal(p.node_count)
+        if case % 5 == 0:
+            q[:] = 0.0
+        if case % 5 == 1:
+            zero = rng.random(p.node_count) < 0.4
+            q[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        q[0] = (0.0, -0.0, 0.7, math.nan, -math.inf, 0.0)[case % 6]
+        yield problem, q
+
+
+def test_grad_v_like_bit_identical_to_the_window_loop():
+    for problem, q in _oracle_cases(360, seed=21):
+        got = grad_v_like(q, problem)
+        assert got.tobytes() == _oracles.grad_v_like(q, problem).tobytes()
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        expect = grad_v_prior(q, problem) + _oracles.grad_v_like(q, problem)
+        assert grad_v(q, problem).tobytes() == expect.tobytes()
+
+
+def test_gradients_return_fresh_writable_arrays():
+    # the integrators scale a returned gradient in place
+    for counts in (None, np.array([2, 0, 5])):
+        problem = PosteriorProblem(ExperimentParams(N=3, K=4), counts=counts)
+        q = 0.3 * RandomStream(2, 0).standard_normals(problem.node_count)
+        for grad in (grad_v, grad_v_like, grad_v_prior):
+            first = grad(q, problem)
+            second = grad(q, problem)
+            for g in (first, second):
+                assert g.flags.writeable
+                assert not np.shares_memory(g, q)
+            assert not np.shares_memory(first, second)
 
 
 def test_grad_shape_mismatch():
