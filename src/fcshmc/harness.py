@@ -6,7 +6,9 @@ file into the output directory, and returns its numerical results so callers
 (tests, demo scripts) can analyse them without re-parsing the CSVs.  The
 shared runner (:func:`_experiment`) owns the output directory, the stamp,
 the wall timer and ``run_meta``; each experiment body only computes and
-writes its CSVs.
+writes its CSVs.  Decorating an ``exp_*`` function with :func:`_experiment`
+registers it in :data:`EXPERIMENTS` with its per-experiment defaults, which
+list only the config keys the experiment reads.
 
 Reproducibility: a single seed drives everything.  Substreams are derived
 per role (data, inits, chains) and per sweep point with fixed stream ids, so
@@ -23,7 +25,6 @@ import subprocess
 import time
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from enum import Enum
 from pathlib import Path
 from typing import get_type_hints
 
@@ -116,13 +117,16 @@ class ExperimentConfig:
 
 
 def _config_keys() -> dict:
-    """config key -> (ExperimentConfig section or None, field name, parser)."""
+    """config key -> (ExperimentConfig section or None, field name, parser).
+
+    Every experiment sets its chains' scheme itself, so scheme is no key.
+    """
     table = {}
     for section, cls in (("params", ExperimentParams), ("hmc", HmcParams),
                          (None, ExperimentConfig)):
         hints = get_type_hints(cls)
         for f in fields(cls):
-            if f.name not in ("params", "hmc"):
+            if f.name not in ("params", "hmc", "scheme"):
                 key = f.metadata.get("key", f.name)
                 table[key] = (section, f.name, f.metadata.get("parse", hints[f.name]))
     return table
@@ -130,29 +134,15 @@ def _config_keys() -> dict:
 
 CONFIG_KEYS = _config_keys()
 
-
-# per-experiment config keys that differ from the dataclass defaults
-_EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "simulate": {},
-    "infer": dict(h=0.03, L=15, updates=2000),
-    "certify": {},
-    "surrogate": dict(h=0.05, L=20, sweep=[round(x, 6) for x in np.geomspace(0.02, 0.2, 13)]),
-    "stability": dict(h=0.1, L=100, sweep=[0.1, 0.2]),
-    "efficiency": dict(h=0.06, L=20, sweep=[0.02, 0.04, 0.06, 0.08, 0.10, 0.12]),
-    "convergence": dict(
-        h=0.01, L=100,
-        sweep=[1.0 / l for l in (100, 141, 200, 283, 400, 566, 800, 1131, 1600, 2263, 3200)],
-    ),
-    "complexity": dict(N=2, h=0.05, L=20, sweep=[10, 14, 20, 28, 40, 56, 79, 100]),
-}
+EXPERIMENTS: dict = {}  # name -> runner, in definition (and CLI) order
 
 
 def default_config(experiment: str, seed: int = 0, out_dir="runs") -> ExperimentConfig:
     """Per-experiment default configuration (benchmark figures' settings)."""
-    if experiment not in _EXPERIMENT_DEFAULTS:
+    if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
     return apply_overrides(ExperimentConfig(out_dir=out_dir),
-                           {"seed": seed, **_EXPERIMENT_DEFAULTS[experiment]})
+                           {"seed": seed, **EXPERIMENTS[experiment].defaults})
 
 
 # -- flat key=value config files -------------------------------------------
@@ -236,20 +226,21 @@ def _write_run_meta(path: Path, config: ExperimentConfig, record: dict) -> Path:
             value = getattr(getattr(config, section) if section else config, name)
             if isinstance(value, list):
                 value = " ".join(str(v) for v in value)
-            elif isinstance(value, Enum):
-                value = value.value
             if value is not None:
                 fh.write(f"{key} = {value}\n")
     return path
 
 
-def _experiment(result_type):
+def _experiment(result_type, **defaults):
     """Turn ``exp_<name>(config, write, ...) -> (result fields, meta extras)``
-    into the public ``exp_<name>(config, ...) -> result_type``.
+    into the public ``exp_<name>(config, ...) -> result_type``, registered
+    as ``EXPERIMENTS[<name>]``.
 
-    The runner fills in the experiment's default sweep when the config has
-    none, creates the output directory, stamps and times the run, and passes
-    the body ``write(header, rows, *tags)``, which writes
+    ``defaults``, the values of config keys the experiment reads, are kept
+    as the runner's ``.defaults`` for :func:`default_config`.  The runner
+    fills in the experiment's default sweep when the config has none,
+    creates the output directory, stamps and times the run, and passes the
+    body ``write(header, rows, *tags)``, which writes
     ``<name>[_<tag>...]_<stamp>.csv``.  run_meta is written last, so
     ``paths`` lists the CSVs, then meta.
     """
@@ -260,7 +251,7 @@ def _experiment(result_type):
         def run(config: ExperimentConfig, *args, **kwargs):
             t0 = time.perf_counter()
             if not config.sweep:
-                config = replace(config, sweep=_EXPERIMENT_DEFAULTS[experiment].get("sweep"))
+                config = replace(config, sweep=defaults.get("sweep"))
             config.out_dir.mkdir(parents=True, exist_ok=True)
             stamp = _timestamp()
             paths = []
@@ -276,6 +267,8 @@ def _experiment(result_type):
             paths.append(_write_run_meta(config.out_dir / f"run_meta_{stamp}.txt", config, record))
             return result_type(**found, paths=paths)
 
+        run.defaults = defaults
+        EXPERIMENTS[experiment] = run
         return run
 
     return wrap
@@ -337,7 +330,7 @@ class InferResult:
     paths: list
 
 
-@_experiment(InferResult)
+@_experiment(InferResult, h=0.03, L=15, updates=2000)
 def exp_infer(config: ExperimentConfig, write):
     """Simulate one data set, then sample its posterior with both schemes.
 
@@ -425,7 +418,8 @@ def _prior_draw(config: ExperimentConfig) -> PhaseState:
     return PhaseState(q=q0, p=p0)
 
 
-@_experiment(SweepResult)
+@_experiment(SweepResult, L=20,
+             sweep=[round(x, 6) for x in np.geomspace(0.02, 0.2, 13)])
 def exp_surrogate(config: ExperimentConfig, write):
     """Trajectory-bound sweep: b(h) = max step norm over an L-step run.
 
@@ -448,7 +442,7 @@ def exp_surrogate(config: ExperimentConfig, write):
     return dict(rows=rows), {}
 
 
-@_experiment(SweepResult)
+@_experiment(SweepResult, L=100, sweep=[0.1, 0.2])
 def exp_stability(config: ExperimentConfig, write):
     """Explicit integration of the prior subsystem at each sweep h.
 
@@ -473,7 +467,7 @@ def exp_stability(config: ExperimentConfig, write):
     return dict(rows=rows), {"coordinate_index": coord, "target": "prior_only"}
 
 
-@_experiment(SweepResult)
+@_experiment(SweepResult, sweep=[0.02, 0.04, 0.06, 0.08, 0.10, 0.12])
 def exp_efficiency(config: ExperimentConfig, write, l_values: list[int] | None = None):
     """Mean HMC acceptance rate AR(h) for both schemes.
 
@@ -526,7 +520,8 @@ def _integrate_recorded(init: PhaseState, problem: PosteriorProblem, hmc: HmcPar
     return state, drift
 
 
-@_experiment(SweepResult)
+@_experiment(SweepResult, sweep=[
+    1.0 / l for l in (100, 141, 200, 283, 400, 566, 800, 1131, 1600, 2263, 3200)])
 def exp_convergence(config: ExperimentConfig, write):
     """Fixed-time self-convergence of both schemes.
 
@@ -562,7 +557,7 @@ def exp_convergence(config: ExperimentConfig, write):
     return dict(rows=rows), {"steps": " ".join(str(round(1.0 / float(h))) for h in config.sweep)}
 
 
-@_experiment(SweepResult)
+@_experiment(SweepResult, N=2, h=0.05, L=20, sweep=[10, 14, 20, 28, 40, 56, 79, 100])
 def exp_complexity(config: ExperimentConfig, write):
     """Wall time of one L-step integration as the mesh is refined in K.
 
@@ -596,15 +591,3 @@ def exp_complexity(config: ExperimentConfig, write):
     return dict(rows=rows), {"timing": "integration only, operators prebuilt",
                              "slope_svex": fit_loglog_slope(ks, svex),
                              "slope_imex": fit_loglog_slope(ks, imex)}
-
-
-EXPERIMENTS = {
-    "simulate": exp_simulate,
-    "infer": exp_infer,
-    "certify": exp_certify,
-    "surrogate": exp_surrogate,
-    "stability": exp_stability,
-    "efficiency": exp_efficiency,
-    "convergence": exp_convergence,
-    "complexity": exp_complexity,
-}

@@ -10,7 +10,8 @@ the full potential, the likelihood alone, or the prior alone; the drift
 coefficient carries the kinetic split weight of the corresponding subsystem.
 The prior subsystem is linear, so its implicit midpoint map reduces to two
 tridiagonal solves with a fixed matrix; ``MidpointSystem`` holds the
-prefabricated operators for one (problem, theta, mass, h).
+prefabricated operators for one (problem, theta, mass, h), each a symmetric
+``TridiagonalOperator`` with two bands (off-diagonal and diagonal).
 
 The L-step drivers telescope adjacent half maps: SVEX merges the paired half
 kicks of the full-potential leapfrog (L+1 gradient evaluations total), and
@@ -127,21 +128,15 @@ class MidpointSystem:
         lap = problem.active_laplacian
         alpha = hmc.theta * h * h / (8.0 * problem.params.D * hmc.mass)
         eye = np.ones(lap.size)
-        lhs = TridiagonalOperator(
-            sub=-alpha * lap.sub, diag=eye - alpha * lap.diag, sup=-alpha * lap.sup
-        )
-        off = np.abs(lhs.sub)
+        lhs = TridiagonalOperator(off=-alpha * lap.off, diag=eye - alpha * lap.diag)
+        off = np.abs(lhs.off)
         row_off = np.zeros(lap.size)
-        np.add.at(row_off, np.arange(1, lap.size), off)
-        np.add.at(row_off, np.arange(lap.size - 1), np.abs(lhs.sup))
+        row_off[1:] += off
+        row_off[:-1] += off
         assert np.all(np.abs(lhs.diag) > row_off), "midpoint matrix lost diagonal dominance"
-        rhs_op = TridiagonalOperator(
-            sub=alpha * lap.sub, diag=eye + alpha * lap.diag, sup=alpha * lap.sup
-        )
+        rhs_op = TridiagonalOperator(off=alpha * lap.off, diag=eye + alpha * lap.diag)
         scale = h / (2.0 * problem.params.D)
-        scaled_lap = TridiagonalOperator(
-            sub=scale * lap.sub, diag=scale * lap.diag, sup=scale * lap.sup
-        )
+        scaled_lap = TridiagonalOperator(off=scale * lap.off, diag=scale * lap.diag)
         return cls(h=h, drift_coeff=hmc.theta * h / hmc.mass, lhs=lhs, rhs_op=rhs_op,
                    scaled_lap=scaled_lap)
 

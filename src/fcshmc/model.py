@@ -111,9 +111,6 @@ class TimeMesh:
     times: np.ndarray
     link_tau: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -121,9 +118,6 @@ class Trajectory:
 
     values: np.ndarray
     mesh: TimeMesh
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)

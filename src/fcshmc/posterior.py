@@ -118,7 +118,7 @@ def _path_laplacian(weights: np.ndarray) -> TridiagonalOperator:
     diag = np.zeros(len(weights) + 1)
     diag[:-1] -= weights
     diag[1:] -= weights
-    return TridiagonalOperator(sub=weights, diag=diag, sup=weights)
+    return TridiagonalOperator(off=weights, diag=diag)
 
 
 def _dead_links(params: ExperimentParams) -> np.ndarray:
@@ -159,7 +159,6 @@ class PosteriorProblem:
 
     params: ExperimentParams
     counts: np.ndarray | None = None
-    laplacian: TridiagonalOperator = field(init=False, repr=False)
     active_laplacian: TridiagonalOperator = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -175,17 +174,13 @@ class PosteriorProblem:
                 raise ValueError("counts must be nonnegative integers")
             self.counts = w.astype(np.int64)
         link = time_mesh(p).link_tau
-        self.laplacian = _path_laplacian(1.0 / link)
+        lap = _path_laplacian(1.0 / link)
         # Row/column 0 removed: q_0 is pinned at zero and is not a sampling
         # degree of freedom, so implicit solves act on the remaining M-1.
-        self.active_laplacian = TridiagonalOperator(
-            sub=self.laplacian.sub[1:],
-            diag=self.laplacian.diag[1:],
-            sup=self.laplacian.sup[1:],
-        )
+        self.active_laplacian = TridiagonalOperator(off=lap.off[1:], diag=lap.diag[1:])
         # hot-loop caches (python lists: see module docstring)
         self._tau = link.tolist()
-        self._s = self.laplacian.sub.tolist()
+        self._s = lap.off.tolist()
         self._vp_coef = (1.0 / (4.0 * p.D * link)).tolist()
         self._inv2d = 1.0 / (2.0 * p.D)
         self._inv2w = 1.0 / (2.0 * p.omega)

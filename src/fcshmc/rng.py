@@ -9,8 +9,6 @@ a distinct ``stream_id`` so they never share state.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["RandomStream"]
@@ -31,25 +29,10 @@ class RandomStream:
             np.random.PCG64(np.random.SeedSequence((self.seed, self.stream_id)))
         )
 
-    def derive(self, stream_id: int) -> "RandomStream":
-        """Independent stream sharing this stream's seed."""
-        return RandomStream(self.seed, stream_id)
-
     # -- scalar draws -------------------------------------------------------
 
     def standard_normal(self) -> float:
         return float(self._gen.standard_normal())
-
-    def normal(self, mean: float, variance: float) -> float:
-        """Draw N(mean, variance); note the second argument is a variance."""
-        if variance < 0:
-            raise ValueError(f"variance must be >= 0, got {variance}")
-        return mean + math.sqrt(variance) * self.standard_normal()
-
-    def poisson(self, mean: float) -> int:
-        if mean <= 0:
-            raise ValueError(f"Poisson mean must be > 0, got {mean}")
-        return int(self._gen.poisson(mean))
 
     def uniform(self) -> float:
         """One draw from U[0, 1)."""

@@ -67,9 +67,6 @@ class Chain:
     def accept_rate(self) -> float:
         return float(self.accepted.mean()) if len(self.accepted) else math.nan
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 def draw_momentum(stream: RandomStream, hmc: HmcParams, node_count: int) -> np.ndarray:
     """Gaussian momenta N(0, m) on the active slots; anchor slot fixed at 0."""
@@ -216,7 +213,7 @@ def run_chain(
     samples[0] = q
     for it in range(j):
         move = hmc_update(q, problem, hmc, stream)
-        q = move.q if move.accepted else q
+        q = move.q
         q, n_acc = reflection_update(q, problem, stream)
         reflect_accepts += n_acc
         samples[it + 1] = q

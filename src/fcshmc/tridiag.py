@@ -1,4 +1,4 @@
-"""Tridiagonal operators: storage, matvec, and the Thomas solver.
+"""Symmetric tridiagonal operators: storage, matvec, and the Thomas solver.
 
 The matvec and solver below are deliberately plain Python loops.  They sit on
 the per-step hot path of the integrators, and the complexity benchmark checks
@@ -44,25 +44,21 @@ def _shared_floats(values) -> list:
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Square tridiagonal matrix.
+    """Square symmetric tridiagonal matrix.
 
-    ``sub[i]`` is entry (i+1, i), ``diag[i]`` entry (i, i), ``sup[i]`` entry
-    (i, i+1); sub and sup have length ``size - 1``.  The bands are stored as
-    read-only float64 copies of the arguments, a symmetric operator's sub and
-    sup as one array.
+    ``off[i]`` is entry (i+1, i) and entry (i, i+1), ``diag[i]`` entry
+    (i, i); off has length ``size - 1``.  The bands are stored as read-only
+    float64 copies of the arguments.
     """
 
-    sub: np.ndarray
+    off: np.ndarray
     diag: np.ndarray
-    sup: np.ndarray
 
     def __post_init__(self):
-        sub, diag, sup = (np.array(b, dtype=np.float64) for b in (self.sub, self.diag, self.sup))
-        if len(sub) != len(diag) - 1 or len(sup) != len(diag) - 1:
-            raise ValueError("band lengths must be size-1, size, size-1")
-        if np.array_equal(sub.view(np.int64), sup.view(np.int64)):
-            sup = sub  # symmetric: one array, and one cached list
-        for name, band in (("sub", sub), ("diag", diag), ("sup", sup)):
+        off, diag = (np.array(b, dtype=np.float64) for b in (self.off, self.diag))
+        if len(off) != len(diag) - 1:
+            raise ValueError("band lengths must be size-1, size")
+        for name, band in (("off", off), ("diag", diag)):
             band.flags.writeable = False
             object.__setattr__(self, name, band)
 
@@ -71,21 +67,19 @@ class TridiagonalOperator:
         return len(self.diag)
 
     @cached_property
-    def _bands(self) -> tuple[list, list, list]:
-        """(sub, diag, sup) as lists for the matvec loop."""
-        sub = _shared_floats(self.sub)
-        sup = sub if self.sup is self.sub else _shared_floats(self.sup)
-        return sub, _shared_floats(self.diag), sup
+    def _bands(self) -> tuple[list, list]:
+        """(off, diag) as lists for the matvec loop."""
+        return _shared_floats(self.off), _shared_floats(self.diag)
 
     @cached_property
     def _factors(self) -> tuple[list, list, list]:
-        """(sub, pivots, eliminated sup) as lists for the solve loops: the
-        Thomas factorization, without pivoting.
+        """(off, pivots, eliminated superdiagonal) as lists for the solve
+        loops: the Thomas factorization, without pivoting.
 
         A zero pivot raises SingularSystemError, and nothing is cached, so
         every solve with a singular operator raises.
         """
-        a, b, c = self.sub.tolist(), self.diag.tolist(), self.sup.tolist()
+        a, b = self.off.tolist(), self.diag.tolist()
         n = self.size
         piv = [0.0] * n
         cp = [0.0] * n
@@ -93,21 +87,21 @@ class TridiagonalOperator:
         if pivot == 0.0:
             raise SingularSystemError("zero pivot at row 0")
         piv[0] = pivot
-        cp[0] = c[0] / pivot if n > 1 else 0.0
+        cp[0] = a[0] / pivot if n > 1 else 0.0
         for i in range(1, n):
             pivot = b[i] - a[i - 1] * cp[i - 1]
             if pivot == 0.0:
                 raise SingularSystemError(f"zero pivot at row {i}")
             piv[i] = pivot
             if i < n - 1:
-                cp[i] = c[i] / pivot
-        return _shared_floats(self.sub), _shared_floats(piv), _shared_floats(cp)
+                cp[i] = a[i] / pivot
+        return _shared_floats(self.off), _shared_floats(piv), _shared_floats(cp)
 
     def to_dense(self) -> np.ndarray:
         """Dense copy, for tests and small-system diagnostics."""
         dense = np.diag(self.diag)
-        dense[np.arange(1, self.size), np.arange(self.size - 1)] = self.sub
-        dense[np.arange(self.size - 1), np.arange(1, self.size)] = self.sup
+        dense[np.arange(1, self.size), np.arange(self.size - 1)] = self.off
+        dense[np.arange(self.size - 1), np.arange(1, self.size)] = self.off
         return dense
 
 
@@ -118,12 +112,12 @@ def tridiag_matvec(op: TridiagonalOperator, v) -> np.ndarray:
         raise ValueError(f"vector must have shape ({n},), got {v.shape}")
     if n == 1:
         return np.array([op.diag[0] * v[0]])
-    a, b, c = op._bands
+    a, b = op._bands
     x = v.tolist()
     y = [0.0] * n
-    y[0] = b[0] * x[0] + c[0] * x[1]
+    y[0] = b[0] * x[0] + a[0] * x[1]
     for i in range(1, n - 1):
-        y[i] = a[i - 1] * x[i - 1] + b[i] * x[i] + c[i] * x[i + 1]
+        y[i] = a[i - 1] * x[i - 1] + b[i] * x[i] + a[i] * x[i + 1]
     y[n - 1] = a[n - 2] * x[n - 2] + b[n - 1] * x[n - 1]
     return np.array(y)
 

@@ -23,7 +23,7 @@ def tridiag_matvec(op, v):
     n = op.size
     if n == 1:
         return np.array([op.diag[0] * v[0]])
-    a, b, c, x = op.sub.tolist(), op.diag.tolist(), op.sup.tolist(), v.tolist()
+    a, b, c, x = op.off.tolist(), op.diag.tolist(), op.off.tolist(), v.tolist()
     y = [0.0] * n
     y[0] = b[0] * x[0] + c[0] * x[1]
     for i in range(1, n - 1):
@@ -37,7 +37,7 @@ def thomas_solve(op, rhs):
     ZeroDivisionError on a zero pivot."""
     rhs = np.asarray(rhs, dtype=float)
     n = op.size
-    a, b, c, d = op.sub.tolist(), op.diag.tolist(), op.sup.tolist(), rhs.tolist()
+    a, b, c, d = op.off.tolist(), op.diag.tolist(), op.off.tolist(), rhs.tolist()
     cp = [0.0] * n  # eliminated superdiagonal
     dp = [0.0] * n  # eliminated rhs
     piv = b[0]

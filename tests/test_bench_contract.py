@@ -8,6 +8,7 @@ that name, would make the traced run fail.  This keeps those names in view
 of the unit tests.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -70,3 +71,31 @@ def test_traced_sweep_calls_every_layer(monkeypatch, tmp_path):
     assert traced_layers_not_called(monkeypatch, tmp_path, "efficiency",
                                     dict(N=2, K=3, sweep="0.03", updates_per_point=2),
                                     l_values=[2, 3]) == []
+
+
+def test_package_surface_resolves():
+    # every exported name, and every name the benchmark reads outside its
+    # traced layers, must resolve; a deleted or renamed one would break
+    # importers and bench/run.py alike
+    fc = importlib.import_module("fcshmc")
+    unresolved = []
+    for module in ("cli", "harness", "integrators", "model", "posterior", "rng",
+                   "sampler", "tridiag"):
+        mod = importlib.import_module(f"fcshmc.{module}")
+        unresolved += [f"{module}.{name}" for name in mod.__all__ if not hasattr(mod, name)]
+    init = ast.parse(Path(fc.__file__).read_text())
+    for node in ast.walk(init):
+        if isinstance(node, ast.ImportFrom):
+            unresolved += [alias.name for alias in node.names if not hasattr(fc, alias.name)]
+    read_by_bench = {
+        fc: ["apply_overrides", "default_config", "simulate", "RandomStream",
+             "PosteriorProblem", "exp_infer", "exp_efficiency", "reflect_head",
+             "reflect_tail"],
+        fc.integrators: ["PhaseState", "svex_l_steps", "imex_l_steps",
+                         "midpoint_prior_step", "MidpointSystem"],
+        fc.integrators.MidpointSystem: ["build"],
+        fc.posterior: ["v_like", "v_prior", "grad_v"],
+    }
+    for owner, names in read_by_bench.items():
+        unresolved += [name for name in names if not hasattr(owner, name)]
+    assert unresolved == []

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from fcshmc.harness import (
 )
 from fcshmc.integrators import PhaseState
 from fcshmc.model import ExperimentParams
-from fcshmc.posterior import HmcParams, Scheme, cfl_certificate
+from fcshmc.posterior import HmcParams, cfl_certificate
 from fcshmc.rng import RandomStream
 
 
@@ -101,18 +102,20 @@ def test_config_validation():
 def test_apply_overrides_typing_and_routing():
     config = default_config("simulate")
     out = apply_overrides(config, {
-        "D": "750", "N": 5, "h": "0.07", "L": "11", "scheme": "imex",
+        "D": "750", "N": 5, "h": "0.07", "L": "11",
         "thin": "3", "out": "elsewhere", "sweep": "0.1, 0.2 0.3",
         "updates": None,  # None entries are ignored
     })
     assert out.params.D == 750.0 and out.params.N == 5
     assert out.hmc.h == 0.07 and out.hmc.L == 11
-    assert out.hmc.scheme is Scheme.IMEX
     assert out.thin == 3
     assert out.out_dir == Path("elsewhere")
     assert out.sweep == [0.1, 0.2, 0.3]
     # original untouched
     assert config.params.D == 500.0
+    # every experiment sets its chains' scheme itself: no config key
+    with pytest.raises(ValueError, match="unknown config key"):
+        apply_overrides(config, {"scheme": "imex"})
 
 
 def test_apply_overrides_unknown_key():
@@ -320,12 +323,34 @@ def golden_run(name, out_dir):
     return config, EXPERIMENTS[name](config, **kwargs)
 
 
+def csv_digests(result):
+    return {path.name.rsplit("_", 1)[0]: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in result.paths if path.suffix == ".csv"}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_csv_outputs_match_golden_digests(tmp_path, name):
     _, result = golden_run(name, tmp_path)
-    digests = {path.name.rsplit("_", 1)[0]: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in result.paths if path.suffix == ".csv"}
-    assert digests == GOLDEN_RUNS[name][2]
+    assert csv_digests(result) == GOLDEN_RUNS[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(set(EXPERIMENTS) - {"complexity"}))
+def test_every_registered_default_changes_the_output(tmp_path, name):
+    # a default the experiment never reads is dead configuration; complexity
+    # is left out because its CSV holds wall times
+    config, result = golden_run(name, tmp_path / "default")
+    baseline = csv_digests(result)
+    unread = []
+    for key in EXPERIMENTS[name].defaults:
+        section, field_name, _ = CONFIG_KEYS[key]
+        value = getattr(getattr(config, section) if section else config, field_name)
+        other = value[:1] if isinstance(value, list) else 2 * value
+        changed = EXPERIMENTS[name](apply_overrides(
+            replace(config, out_dir=tmp_path / key), {key: other}),
+            **GOLDEN_RUNS[name][1])
+        if not set(csv_digests(changed).items()) - set(baseline.items()):
+            unread.append(key)
+    assert unread == []
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))

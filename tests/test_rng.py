@@ -21,13 +21,6 @@ def test_distinct_stream_ids_diverge():
     assert draws_a != draws_b
 
 
-def test_derive_matches_direct_construction():
-    root = RandomStream(7, 0)
-    child = root.derive(42)
-    direct = RandomStream(7, 42)
-    assert child.standard_normal() == direct.standard_normal()
-
-
 def test_scalar_and_vector_draws_agree():
     # the bulk statistical tests below lean on this: a vector draw is the
     # same variate sequence as repeated scalar draws
@@ -54,30 +47,12 @@ def test_standard_normal_moments():
     assert abs(draws.var() - 1.0) < 0.01
 
 
-def test_normal_zero_variance_is_exact():
-    stream = RandomStream(0, 0)
-    assert stream.normal(5.0, 0.0) == 5.0
-
-
-def test_normal_scaling_and_shift():
-    stream = RandomStream(11, 3)
-    scaled = np.array([stream.normal(0.0, 4.0) for _ in range(100_000)])
-    assert abs(scaled.var() - 4.0) < 0.05
-    shifted = np.array([stream.normal(-3.0, 1.0) for _ in range(100_000)])
-    assert abs(shifted.mean() + 3.0) < 0.01
-
-
-def test_normal_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        RandomStream(0, 0).normal(0.0, -1.0)
-
-
 def test_poisson_rejects_nonpositive_mean():
     stream = RandomStream(0, 0)
     with pytest.raises(ValueError):
-        stream.poisson(0.0)
+        stream.poissons(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        stream.poisson(-2.0)
+        stream.poissons(np.array([-2.0]))
 
 
 def test_poisson_mean_4p59():
