@@ -75,7 +75,7 @@ def _sv_step(state, gradient, problem, h, drift_coeff):
     g = gradient(q, problem)
     g *= kick
     pa -= g[1:]
-    return PhaseState(q=q, p=p)
+    return PhaseState(q, p)
 
 
 def sv_full_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
@@ -163,7 +163,7 @@ def midpoint_prior_step(state: PhaseState, system: MidpointSystem) -> PhaseState
     p = state.p.copy()
     q[1:] = thomas_solve(system.lhs, rhs_q)
     p[1:] = thomas_solve(system.lhs, rhs_p)
-    return PhaseState(q=q, p=p)
+    return PhaseState(q, p)
 
 
 def imex_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
@@ -210,4 +210,4 @@ def svex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -
         if ell < L:
             pa -= h * g[1:]
     pa -= kick * g[1:]
-    return PhaseState(q=q, p=p)
+    return PhaseState(q, p)

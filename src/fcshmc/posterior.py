@@ -206,9 +206,12 @@ def v_prior(q: np.ndarray, problem: PosteriorProblem) -> float:
     x = np.asarray(q, dtype=float).tolist()
     coef = problem._vp_coef
     acc = 0.0
-    for j in range(len(coef)):
-        d = x[j + 1] - x[j]
-        acc += coef[j] * d * d
+    xl = x[0]  # carried: the link's left end
+    for j, cj in enumerate(coef, 1):
+        xr = x[j]
+        d = xr - xl
+        acc += cj * d * d
+        xl = xr
     return acc
 
 
@@ -221,18 +224,20 @@ def v_like(q: np.ndarray, problem: PosteriorProblem) -> float:
     inv2w, i_bg, i_ref = problem._inv2w, p.I_bg, problem._i_ref
     tau, kk = problem._tau_sub, problem._k
     w = problem._w
+    exp = math.exp
     acc = 0.0
-    for n in range(len(w)):
-        base = 1 + n * (kk + 1)
+    base = 1  # carried: window n's first node, 1 + n (K + 1)
+    for wn in w:
+        end = base + kk
         xv = x[base]
-        s = 0.5 * (i_bg + i_ref * math.exp(-xv * xv * inv2w))
-        for j in range(base + 1, base + kk):
-            xv = x[j]
-            s += i_bg + i_ref * math.exp(-xv * xv * inv2w)
-        xv = x[base + kk]
-        s += 0.5 * (i_bg + i_ref * math.exp(-xv * xv * inv2w))
+        s = 0.5 * (i_bg + i_ref * exp(-xv * xv * inv2w))
+        for xv in x[base + 1 : end]:
+            s += i_bg + i_ref * exp(-xv * xv * inv2w)
+        xv = x[end]
+        s += 0.5 * (i_bg + i_ref * exp(-xv * xv * inv2w))
         u = tau * s
-        acc += u - w[n] * math.log(u)
+        acc += u - wn * math.log(u)
+        base = end + 1
     return acc
 
 
@@ -249,11 +254,15 @@ def grad_v_prior(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
     s = problem._s
     c = problem._inv2d
     g = [0.0] * m
-    g[0] = c * s[0] * (xs[0] - xs[1])
+    # carried: left coupling s[j-1], left value xs[j-1], centre value xs[j]
+    sl, xl, xc = s[0], xs[0], xs[1]
+    g[0] = c * sl * (xl - xc)
     for j in range(1, m - 1):
-        g[j] = c * (s[j - 1] * (xs[j] - xs[j - 1]) + s[j] * (xs[j] - xs[j + 1]))
-    g[m - 1] = c * s[m - 2] * (xs[m - 1] - xs[m - 2])
-    return np.array(g)
+        sr, xr = s[j], xs[j + 1]
+        g[j] = c * (sl * (xc - xl) + sr * (xc - xr))
+        sl, xl, xc = sr, xc, xr
+    g[m - 1] = c * sl * (xc - xl)
+    return np.fromiter(g, float, m)
 
 
 def grad_v_like(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
@@ -268,23 +277,26 @@ def grad_v_like(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
     xs = x.tolist()
     inv2w, didx = problem._inv2w, problem._dIdx
     tau, kk, k_ibg, i_ref = problem._tau_sub, problem._k, problem._k_ibg, problem._i_ref
-    prof = [math.exp(-v * v * inv2w) for v in xs]
+    exp = math.exp
+    prof = [exp(-v * v * inv2w) for v in xs]
     # dV/dq_j = -f_n c_k didx q_j prof_j over window n's node k, with
     # quadrature weight c_k = 1/2 at the window's two end nodes, 1 inside
     coef = [0.0]
-    for n in range(len(w)):
-        base = 1 + n * (kk + 1)
+    base = 1  # carried: window n's first node, 1 + n (K + 1)
+    for wn in w:
+        end = base + kk
         # builtin sum adds left to right before Python 3.12 (3.12 compensates)
-        s = 0.5 * (prof[base] + prof[base + kk]) + sum(prof[base + 1 : base + kk])
+        s = 0.5 * (prof[base] + prof[end]) + sum(prof[base + 1 : end])
         u = tau * (k_ibg + i_ref * s)
-        f = (1.0 - w[n] / u) * tau
+        f = (1.0 - wn / u) * tau
         row = [-f * didx] * (kk + 1)
         row[0] = row[kk] = -f * 0.5 * didx
         coef += row
+        base = end + 1
     # + 0.0 turns -0.0 into +0.0, as accumulating into a zeroed list would
     g = [c * v * e + 0.0 for c, v, e in zip(coef, xs, prof)]
     g[0] = 0.0
-    return np.array(g)
+    return np.fromiter(g, float, m)
 
 
 def grad_v(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:

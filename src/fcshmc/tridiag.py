@@ -62,7 +62,7 @@ class TridiagonalOperator:
             band.flags.writeable = False
             object.__setattr__(self, name, band)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.diag)
 
@@ -115,11 +115,15 @@ def tridiag_matvec(op: TridiagonalOperator, v) -> np.ndarray:
     a, b = op._bands
     x = v.tolist()
     y = [0.0] * n
-    y[0] = b[0] * x[0] + a[0] * x[1]
+    # carried: left coefficient a[i-1], left value x[i-1], centre value x[i]
+    al, xl, xc = a[0], x[0], x[1]
+    y[0] = b[0] * xl + al * xc
     for i in range(1, n - 1):
-        y[i] = a[i - 1] * x[i - 1] + b[i] * x[i] + a[i] * x[i + 1]
-    y[n - 1] = a[n - 2] * x[n - 2] + b[n - 1] * x[n - 1]
-    return np.array(y)
+        ar, xr = a[i], x[i + 1]
+        y[i] = al * xl + b[i] * xc + ar * xr
+        al, xl, xc = ar, xc, xr
+    y[n - 1] = al * xl + b[n - 1] * xc
+    return np.fromiter(y, float, n)
 
 
 def thomas_solve(op: TridiagonalOperator, rhs) -> np.ndarray:
@@ -134,9 +138,9 @@ def thomas_solve(op: TridiagonalOperator, rhs) -> np.ndarray:
         raise ValueError(f"rhs must have shape ({n},), got {rhs.shape}")
     a, piv, cp = op._factors
     x = rhs.tolist()  # eliminated in place, then back-substituted in place
-    x[0] = x[0] / piv[0]
+    prev = x[0] = x[0] / piv[0]  # carried: the last unknown written
     for i in range(1, n):
-        x[i] = (x[i] - a[i - 1] * x[i - 1]) / piv[i]
+        prev = x[i] = (x[i] - a[i - 1] * prev) / piv[i]
     for i in range(n - 2, -1, -1):
-        x[i] = x[i] - cp[i] * x[i + 1]
-    return np.array(x)
+        prev = x[i] = x[i] - cp[i] * prev
+    return np.fromiter(x, float, n)
