@@ -22,13 +22,19 @@ energies, making H == H_like + H_prior an exact identity, not just an
 algebraic one.
 
 Energy and gradient kernels are plain loops for the same reason as in
-``tridiag``: per-call cost must scale with the trajectory length.  The
+``tridiag``: per-call cost must scale with the trajectory length, which
+acceptance check 10 measures at small M, where vectorised calls would cost
+mostly fixed dispatch.  The loops carry neighbours in locals: the prior
+gradient carries the left coupling and the left and centre values into the
+next node, ``v_prior`` the left end of each link, and both likelihood kernels
+the first node of each window, with ``math.exp`` bound to a local.  The
 likelihood gradient takes one ``math.exp`` pass over the mesh, computes per
 window only the profile sum, the force and the two quadrature-weighted
 coefficients (window ends and interior), and forms every node's entry in one
-more pass.  ``PosteriorProblem`` binds the per-problem constants the kernels
-read (node count, K, tau_sub, K I_bg, I_ref and the link lists) once, at
-construction.
+more pass.  Each gradient is built with one ``np.fromiter(list, float, m)``,
+a fresh array that the integrators scale in place.  ``PosteriorProblem``
+binds the per-problem constants the kernels read (node count, K, tau_sub,
+K I_bg, I_ref and the link lists) once, at construction.
 """
 
 from __future__ import annotations

@@ -1,10 +1,16 @@
 """Symmetric tridiagonal operators: storage, matvec, and the Thomas solver.
 
 The matvec and solver below are deliberately plain Python loops.  They sit on
-the per-step hot path of the integrators, and the complexity benchmark checks
-that one integration step costs O(M) wall time; loop kernels keep the cost
-proportional to the system size even for the small M used there, where
-vectorised calls would be dominated by fixed dispatch overhead.
+the per-step hot path of the integrators, and the complexity benchmark
+(acceptance check 10) checks that one integration step costs O(M) wall time;
+loop kernels keep the cost proportional to the system size even for the small
+M used there, where vectorised calls would be dominated by fixed dispatch
+overhead.  Each loop carries its neighbours in locals instead of indexing them
+again: the matvec carries the left coefficient and the left and centre values
+into the next row and reads only a[i], b[i] and x[i+1]; the elimination and
+the back-substitution carry the last unknown they wrote.  Each result is built
+with one ``np.fromiter(list, float, n)``: one copy into a fresh, writable
+array, into which the midpoint step adds in place.
 
 An operator's bands are read-only, so the loops' inputs derived from them are
 built once per operator, on its first matvec or solve, and reused: the bands

@@ -9,7 +9,10 @@ keep while reusing per-operator lists and factorizations.  The reflection
 sweep is the per-node loop: one scalar uniform, the ratio of the current
 state and, on accept, one slice negation per node; the production sweep
 must match it bit for bit.  The likelihood gradient is the per-window loop:
-each window's profile, sum and force, accumulated into a zeroed list.
+each window's profile, sum and force, accumulated into a zeroed list.  The
+prior gradient and the two energies are the per-index loops that read both
+ends of every link from the state on every step.  All four rebuild their
+constants from the parameters on every call.
 """
 
 import math
@@ -92,7 +95,12 @@ def grad_v_like(q, problem):
     for n in range(p.N):
         base = 1 + n * (kk + 1)
         prof = [math.exp(-xs[j] * xs[j] * inv2w) for j in range(base, base + kk + 1)]
-        s = 0.5 * (prof[0] + prof[kk]) + sum(prof[1:kk])
+        # the kernel's builtin sum adds left to right only before Python
+        # 3.12, which made it compensated; there this comparison fails
+        interior = 0.0
+        for e in prof[1:kk]:
+            interior += e
+        s = 0.5 * (prof[0] + prof[kk]) + interior
         u = tau * (kk * p.I_bg + p.I_ref * s)
         f = (1.0 - w[n] / u) * tau
         for k in range(kk + 1):
@@ -100,6 +108,63 @@ def grad_v_like(q, problem):
             j = base + k
             g[j] += -f * c * didx * xs[j] * prof[k]
     return np.array(g)
+
+
+def _link_taus(params):
+    """Link durations by walking the mesh: each window's dead link, then K
+    submesh links."""
+    return [params.tau_dead if j % (params.K + 1) == 0 else params.tau_sub
+            for j in range(params.node_count - 1)]
+
+
+def grad_v_prior(q, problem):
+    """-(1/2D) Lap q by the per-index loop over both neighbours of a node."""
+    p = problem.params
+    xs = np.asarray(q, dtype=float).tolist()
+    m = p.node_count
+    s = [1.0 / t for t in _link_taus(p)]
+    c = 1.0 / (2.0 * p.D)
+    g = [0.0] * m
+    g[0] = c * s[0] * (xs[0] - xs[1])
+    for j in range(1, m - 1):
+        g[j] = c * (s[j - 1] * (xs[j] - xs[j - 1]) + s[j] * (xs[j] - xs[j + 1]))
+    g[m - 1] = c * s[m - 2] * (xs[m - 1] - xs[m - 2])
+    return np.array(g)
+
+
+def v_prior(q, problem):
+    """sum (dq)^2 / (4 D tau) by the per-link loop over both link ends."""
+    p = problem.params
+    x = np.asarray(q, dtype=float).tolist()
+    coef = [1.0 / (4.0 * p.D * t) for t in _link_taus(p)]
+    acc = 0.0
+    for j in range(len(coef)):
+        d = x[j + 1] - x[j]
+        acc += coef[j] * d * d
+    return acc
+
+
+def v_like(q, problem):
+    """sum_n [u_n - w_n log u_n] by the per-window, per-index loop."""
+    if problem.counts is None:
+        return 0.0
+    p = problem.params
+    x = np.asarray(q, dtype=float).tolist()
+    inv2w = 1.0 / (2.0 * p.omega)
+    w = [float(c) for c in problem.counts]
+    acc = 0.0
+    for n in range(p.N):
+        base = 1 + n * (p.K + 1)
+        xv = x[base]
+        s = 0.5 * (p.I_bg + p.I_ref * math.exp(-xv * xv * inv2w))
+        for j in range(base + 1, base + p.K):
+            xv = x[j]
+            s += p.I_bg + p.I_ref * math.exp(-xv * xv * inv2w)
+        xv = x[base + p.K]
+        s += 0.5 * (p.I_bg + p.I_ref * math.exp(-xv * xv * inv2w))
+        u = p.tau_sub * s
+        acc += u - w[n] * math.log(u)
+    return acc
 
 
 def central_diff_grad(f, q, scale=1e-6):

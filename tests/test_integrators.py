@@ -129,7 +129,8 @@ def _twins(off, diag):
 
 
 def _same_bits(x, y):
-    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+    """Equal bit patterns: values, signs of zero and NaN bits."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def _random_twins(rng, n):
@@ -147,11 +148,29 @@ def test_kernels_bit_identical_to_the_per_call_loops():
         for _ in range(10):
             op, raw = _random_twins(rng, n)
             # repeated calls on one operator reuse its cached lists
-            for _ in range(3):
+            for call in range(3):
                 v = rng.normal(size=n)
                 v[::3] = -0.0
+                if call == 1:  # non-finite entries must propagate the same way
+                    nodes = rng.integers(0, n, 2)
+                    v[nodes] = rng.choice([np.nan, np.inf, -np.inf], 2)
                 assert _same_bits(tridiag_matvec(op, v), _oracles.tridiag_matvec(raw, v))
                 assert _same_bits(thomas_solve(op, v), _oracles.thomas_solve(raw, v))
+
+
+def test_kernels_return_fresh_writable_arrays():
+    # midpoint_prior_step adds into the matvec results in place
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 50):
+        op = TridiagonalOperator(off=rng.normal(size=n - 1), diag=4.0 + rng.random(n))
+        v = rng.normal(size=n + 1)[1:]  # a view, as the midpoint step passes
+        for kernel in (tridiag_matvec, thomas_solve):
+            first = kernel(op, v)
+            second = kernel(op, v)
+            for r in (first, second):
+                assert r.flags.writeable and r.flags.owndata
+                assert not np.shares_memory(r, v)
+            assert not np.shares_memory(first, second)
 
 
 def test_kernels_keep_the_sign_of_zero():

@@ -244,6 +244,29 @@ def test_grad_v_like_bit_identical_to_the_window_loop():
         assert grad_v(q, problem).tobytes() == expect.tobytes()
 
 
+def _nonfinite_cases(count, seed):
+    """``_oracle_cases`` with NaN or +-inf at one to three random nodes in
+    every third case."""
+    rng = np.random.default_rng([seed, 1])
+    for case, (problem, q) in enumerate(_oracle_cases(count, seed)):
+        if case % 3 == 2:
+            nodes = rng.integers(0, len(q), int(rng.integers(1, 4)))
+            q[nodes] = rng.choice([math.nan, math.inf, -math.inf], len(nodes))
+        yield problem, q
+
+
+def test_kernels_bit_identical_to_the_index_loops():
+    # compared by bytes: the sign of zero and NaN bits must match too
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    for problem, q in _nonfinite_cases(300, seed=22):
+        assert grad_v_prior(q, problem).tobytes() == _oracles.grad_v_prior(q, problem).tobytes()
+        assert grad_v_like(q, problem).tobytes() == _oracles.grad_v_like(q, problem).tobytes()
+        assert bits(v_prior(q, problem)) == bits(_oracles.v_prior(q, problem))
+        assert bits(v_like(q, problem)) == bits(_oracles.v_like(q, problem))
+
+
 def test_gradients_return_fresh_writable_arrays():
     # the integrators scale a returned gradient in place
     for counts in (None, np.array([2, 0, 5])):
@@ -253,7 +276,7 @@ def test_gradients_return_fresh_writable_arrays():
             first = grad(q, problem)
             second = grad(q, problem)
             for g in (first, second):
-                assert g.flags.writeable
+                assert g.flags.writeable and g.flags.owndata
                 assert not np.shares_memory(g, q)
             assert not np.shares_memory(first, second)
 

@@ -1,9 +1,12 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import _oracles
+import fcshmc.integrators
+import fcshmc.posterior
 from fcshmc.model import ExperimentParams, simulate, time_mesh
 from fcshmc.posterior import HmcParams, PosteriorProblem, v_like, v_prior
 from fcshmc.rng import RandomStream
@@ -78,6 +81,37 @@ def test_update_consumes_fixed_draw_budget():
         run_chain(np.zeros(p.node_count), problem, hmc, stream)
         out.append(stream.uniform())
     assert out[0] == out[1]
+
+
+def test_update_kernel_call_counts(monkeypatch):
+    # counted at the names bench/run.py traces, so that its per-layer
+    # calls_per_update compare across changes
+    names = [(fcshmc.integrators, "thomas_solve"), (fcshmc.integrators, "tridiag_matvec"),
+             (fcshmc.posterior, "grad_v_like"), (fcshmc.posterior, "grad_v_prior"),
+             (fcshmc.posterior, "v_like"), (fcshmc.posterior, "v_prior")]
+    calls = collections.Counter()
+
+    def counting(fn, name):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for owner, name in names:
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name), name))
+    problem = seeded_problem()
+    q = random_q(problem, seed=4)
+    L = 7
+    expected = {
+        "imex": dict(thomas_solve=2 * (L + 1), tridiag_matvec=3 * (L + 1),
+                     grad_v_like=2 * L, grad_v_prior=0, v_like=2, v_prior=2),
+        "svex": dict(thomas_solve=0, tridiag_matvec=0,
+                     grad_v_like=L + 1, grad_v_prior=L + 1, v_like=2, v_prior=2),
+    }
+    for scheme, want in expected.items():
+        calls.clear()
+        hmc_update(q, problem, HmcParams(h=0.01, L=L, scheme=scheme), RandomStream(3, 0))
+        assert {name: calls[name] for _, name in names} == want
 
 
 # -- reflections -------------------------------------------------------------
