@@ -22,6 +22,14 @@ Each map copies its input state once and returns the copies.  Verlet maps
 scale each fresh gradient in place and make one temporary per drift; the
 midpoint map adds its right-hand-side terms into the matvec results and makes
 one temporary, its drift term.
+
+A step's fixed cost, the part that does not grow with M, is kept small: at
+the small M of acceptance check 10 it is most of a step's time.  The step
+coefficients that scale arrays are 0-d float64 arrays, because numpy
+multiplies an array by one faster than by a Python float, which it converts
+on every call; the bits are the same.  The maps wrap their copies with
+``_state``, which skips ``PhaseState``'s shape check (copies of one checked
+state cannot disagree in shape) and writes the two slots directly.
 """
 
 from __future__ import annotations
@@ -59,6 +67,18 @@ class PhaseState:
             raise ValueError("q and p must have matching shapes")
 
 
+_set_q, _set_p = PhaseState.q.__set__, PhaseState.p.__set__
+
+
+def _state(q: np.ndarray, p: np.ndarray) -> PhaseState:
+    """``PhaseState(q, p)`` without the shape check, for same-shape copies;
+    writes the two slots directly."""
+    state = object.__new__(PhaseState)
+    _set_q(state, q)
+    _set_p(state, p)
+    return state
+
+
 def _sv_step(state, gradient, problem, h, drift_coeff):
     """Generic Verlet: half kick, drift, half kick; anchor slot frozen.
 
@@ -67,7 +87,7 @@ def _sv_step(state, gradient, problem, h, drift_coeff):
     q = state.q.copy()
     p = state.p.copy()
     qa, pa = q[1:], p[1:]
-    kick, drift = 0.5 * h, h * drift_coeff
+    kick, drift = np.asarray(0.5 * h), np.asarray(h * drift_coeff)
     g = gradient(q, problem)
     g *= kick
     pa -= g[1:]
@@ -75,7 +95,7 @@ def _sv_step(state, gradient, problem, h, drift_coeff):
     g = gradient(q, problem)
     g *= kick
     pa -= g[1:]
-    return PhaseState(q, p)
+    return _state(q, p)
 
 
 def sv_full_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
@@ -118,7 +138,7 @@ class MidpointSystem:
     """
 
     h: float
-    drift_coeff: float  # theta h / m
+    drift_coeff: np.ndarray  # theta h / m, 0-d
     lhs: TridiagonalOperator
     rhs_op: TridiagonalOperator
     scaled_lap: TridiagonalOperator
@@ -137,8 +157,8 @@ class MidpointSystem:
         rhs_op = TridiagonalOperator(off=alpha * lap.off, diag=eye + alpha * lap.diag)
         scale = h / (2.0 * problem.params.D)
         scaled_lap = TridiagonalOperator(off=scale * lap.off, diag=scale * lap.diag)
-        return cls(h=h, drift_coeff=hmc.theta * h / hmc.mass, lhs=lhs, rhs_op=rhs_op,
-                   scaled_lap=scaled_lap)
+        return cls(h=h, drift_coeff=np.asarray(hmc.theta * h / hmc.mass), lhs=lhs,
+                   rhs_op=rhs_op, scaled_lap=scaled_lap)
 
 
 def _midpoint_system(problem: PosteriorProblem, hmc: HmcParams, h: float) -> MidpointSystem:
@@ -163,7 +183,7 @@ def midpoint_prior_step(state: PhaseState, system: MidpointSystem) -> PhaseState
     p = state.p.copy()
     q[1:] = thomas_solve(system.lhs, rhs_q)
     p[1:] = thomas_solve(system.lhs, rhs_p)
-    return PhaseState(q, p)
+    return _state(q, p)
 
 
 def imex_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
@@ -198,16 +218,19 @@ def svex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -
     """L leapfrog steps of the full Hamiltonian with merged half kicks
     (L+1 gradient evaluations)."""
     h, L = hmc.h, hmc.L
-    kick, drift = 0.5 * h, h / hmc.mass
+    step, kick, drift = np.asarray(h), np.asarray(0.5 * h), np.asarray(h / hmc.mass)
     q = state.q.copy()
     p = state.p.copy()
     qa, pa = q[1:], p[1:]
     g = posterior.grad_v(q, problem)
-    pa -= kick * g[1:]
+    g *= kick
+    pa -= g[1:]
     for ell in range(1, L + 1):
         qa += drift * pa
         g = posterior.grad_v(q, problem)
         if ell < L:
-            pa -= h * g[1:]
-    pa -= kick * g[1:]
-    return PhaseState(q, p)
+            g *= step
+            pa -= g[1:]
+    g *= kick
+    pa -= g[1:]
+    return _state(q, p)

@@ -31,10 +31,11 @@ the first node of each window, with ``math.exp`` bound to a local.  The
 likelihood gradient takes one ``math.exp`` pass over the mesh, computes per
 window only the profile sum, the force and the two quadrature-weighted
 coefficients (window ends and interior), and forms every node's entry in one
-more pass.  Each gradient is built with one ``np.fromiter(list, float, m)``,
-a fresh array that the integrators scale in place.  ``PosteriorProblem``
-binds the per-problem constants the kernels read (node count, K, tau_sub,
-K I_bg, I_ref and the link lists) once, at construction.
+more pass.  Each gradient is built with one ``np.fromiter(list, _F64, m)``
+(``_F64``: see ``tridiag``), a fresh array that the integrators scale in
+place.  ``PosteriorProblem`` binds the per-problem constants the kernels read
+(node count, K, tau_sub, K I_bg, I_ref and the link lists) once, at
+construction.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ExperimentParams, TimescaleOrderingWarning, time_mesh
-from .tridiag import TridiagonalOperator
+from .tridiag import _F64, TridiagonalOperator
 
 __all__ = [
     "Scheme",
@@ -209,7 +210,7 @@ class PosteriorProblem:
 
 def v_prior(q: np.ndarray, problem: PosteriorProblem) -> float:
     """Random-walk prior energy sum (dq)^2 / (4 D tau) over all links."""
-    x = np.asarray(q, dtype=float).tolist()
+    x = np.asarray(q, _F64).tolist()
     coef = problem._vp_coef
     acc = 0.0
     xl = x[0]  # carried: the link's left end
@@ -226,7 +227,7 @@ def v_like(q: np.ndarray, problem: PosteriorProblem) -> float:
     if problem._w is None:
         return 0.0
     p = problem.params
-    x = np.asarray(q, dtype=float).tolist()
+    x = np.asarray(q, _F64).tolist()
     inv2w, i_bg, i_ref = problem._inv2w, p.I_bg, problem._i_ref
     tau, kk = problem._tau_sub, problem._k
     w = problem._w
@@ -252,7 +253,7 @@ def v_like(q: np.ndarray, problem: PosteriorProblem) -> float:
 
 def grad_v_prior(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
     """d V_prior / d q = -(1/2D) Lap q, assembled link-wise."""
-    x = np.asarray(q, dtype=float)
+    x = np.asarray(q, _F64)
     m = problem._m
     if x.shape != (m,):
         raise ValueError(f"trajectory must have shape ({m},), got {x.shape}")
@@ -268,12 +269,12 @@ def grad_v_prior(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
         g[j] = c * (sl * (xc - xl) + sr * (xc - xr))
         sl, xl, xc = sr, xc, xr
     g[m - 1] = c * sl * (xc - xl)
-    return np.fromiter(g, float, m)
+    return np.fromiter(g, _F64, m)
 
 
 def grad_v_like(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
     """d V_like / d q; zero at the anchor node (no quadrature weight there)."""
-    x = np.asarray(q, dtype=float)
+    x = np.asarray(q, _F64)
     m = problem._m
     if x.shape != (m,):
         raise ValueError(f"trajectory must have shape ({m},), got {x.shape}")
@@ -302,7 +303,7 @@ def grad_v_like(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
     # + 0.0 turns -0.0 into +0.0, as accumulating into a zeroed list would
     g = [c * v * e + 0.0 for c, v, e in zip(coef, xs, prof)]
     g[0] = 0.0
-    return np.fromiter(g, float, m)
+    return np.fromiter(g, _F64, m)
 
 
 def grad_v(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:

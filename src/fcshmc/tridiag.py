@@ -9,8 +9,10 @@ overhead.  Each loop carries its neighbours in locals instead of indexing them
 again: the matvec carries the left coefficient and the left and centre values
 into the next row and reads only a[i], b[i] and x[i+1]; the elimination and
 the back-substitution carry the last unknown they wrote.  Each result is built
-with one ``np.fromiter(list, float, n)``: one copy into a fresh, writable
-array, into which the midpoint step adds in place.
+with one ``np.fromiter(list, _F64, n)``: one copy into a fresh, writable
+array, into which the midpoint step adds in place.  The kernels pass numpy the
+dtype object ``_F64`` rather than ``float``, which it would convert on every
+call.
 
 An operator's bands are read-only, so the loops' inputs derived from them are
 built once per operator, on its first matvec or solve, and reused: the bands
@@ -24,10 +26,12 @@ values with the mesh period, so a cached list costs one pointer per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+_F64 = np.dtype(np.float64)
 
 __all__ = ["TridiagonalOperator", "SingularSystemError", "tridiag_matvec", "thomas_solve"]
 
@@ -59,6 +63,7 @@ class TridiagonalOperator:
 
     off: np.ndarray
     diag: np.ndarray
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         off, diag = (np.array(b, dtype=np.float64) for b in (self.off, self.diag))
@@ -67,10 +72,7 @@ class TridiagonalOperator:
         for name, band in (("off", off), ("diag", diag)):
             band.flags.writeable = False
             object.__setattr__(self, name, band)
-
-    @cached_property
-    def size(self) -> int:
-        return len(self.diag)
+        object.__setattr__(self, "size", len(diag))
 
     @cached_property
     def _bands(self) -> tuple[list, list]:
@@ -112,7 +114,7 @@ class TridiagonalOperator:
 
 
 def tridiag_matvec(op: TridiagonalOperator, v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v, _F64)
     n = op.size
     if v.shape != (n,):
         raise ValueError(f"vector must have shape ({n},), got {v.shape}")
@@ -129,7 +131,7 @@ def tridiag_matvec(op: TridiagonalOperator, v) -> np.ndarray:
         y[i] = al * xl + b[i] * xc + ar * xr
         al, xl, xc = ar, xc, xr
     y[n - 1] = al * xl + b[n - 1] * xc
-    return np.fromiter(y, float, n)
+    return np.fromiter(y, _F64, n)
 
 
 def thomas_solve(op: TridiagonalOperator, rhs) -> np.ndarray:
@@ -138,7 +140,7 @@ def thomas_solve(op: TridiagonalOperator, rhs) -> np.ndarray:
     Safe without pivoting for the diagonally dominant systems built here;
     raises SingularSystemError on an exactly zero pivot.
     """
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = np.asarray(rhs, _F64)
     n = op.size
     if rhs.shape != (n,):
         raise ValueError(f"rhs must have shape ({n},), got {rhs.shape}")
@@ -149,4 +151,4 @@ def thomas_solve(op: TridiagonalOperator, rhs) -> np.ndarray:
         prev = x[i] = (x[i] - a[i - 1] * prev) / piv[i]
     for i in range(n - 2, -1, -1):
         prev = x[i] = x[i] - cp[i] * prev
-    return np.fromiter(x, float, n)
+    return np.fromiter(x, _F64, n)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import types
 
@@ -208,6 +209,25 @@ def test_laplacian_matvec_annihilates_constants():
 def test_phase_state_shape_check():
     with pytest.raises(ValueError):
         PhaseState(q=np.zeros(3), p=np.zeros(4))
+
+
+def test_maps_return_frozen_states_of_fresh_arrays():
+    # the maps build their states without the constructor's shape check
+    problem = small_problem()
+    hmc = HmcParams(h=0.05, L=3)
+    st = random_state(problem)
+    half = MidpointSystem.build(problem, hmc, 0.5 * hmc.h)
+    outs = [step(st, problem, hmc) for step in (sv_full_step, sv_likelihood_step,
+                                                  sv_prior_step, imex_step,
+                                                  imex_l_steps, svex_l_steps)]
+    outs.append(midpoint_prior_step(st, half))
+    for out in outs:
+        assert type(out) is PhaseState
+        assert out.q.shape == out.p.shape == st.q.shape
+        for new, old in ((out.q, st.q), (out.p, st.p)):
+            assert new.flags.writeable and not np.shares_memory(new, old)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.q = st.q
 
 
 def test_full_step_free_flight(monkeypatch):
