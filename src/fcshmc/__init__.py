@@ -11,76 +11,13 @@ harness (``fcshmc.harness``, CLI ``fcshmc``) reproduces the stability,
 efficiency, convergence, and cost experiments.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.1.0"  # first: harness imports it
 
-from .harness import (
-    ExperimentConfig,
-    apply_overrides,
-    default_config,
-    exp_certify,
-    exp_complexity,
-    exp_convergence,
-    exp_efficiency,
-    exp_infer,
-    exp_simulate,
-    exp_stability,
-    exp_surrogate,
-)
-from .integrators import (
-    MidpointSystem,
-    PhaseState,
-    imex_l_steps,
-    imex_step,
-    midpoint_prior_step,
-    sv_full_step,
-    sv_likelihood_step,
-    sv_prior_step,
-    svex_l_steps,
-)
-from .model import (
-    ExperimentParams,
-    Simulation,
-    TimeMesh,
-    TimescaleOrderingWarning,
-    Trajectory,
-    intensity,
-    psf,
-    sample_measurements,
-    sample_prior_trajectory,
-    signal,
-    simulate,
-    time_mesh,
-)
-from .posterior import (
-    CflCertificate,
-    HmcParams,
-    PosteriorProblem,
-    Scheme,
-    build_laplacian,
-    cfl_certificate,
-    dead_time_coupling,
-    exposure_block_eigenvalues,
-    exposure_coupling,
-    grad_v,
-    grad_v_like,
-    grad_v_prior,
-    hamiltonian,
-    hamiltonian_like,
-    hamiltonian_prior,
-    max_eigenvalue_bound,
-    v_like,
-    v_prior,
-)
-from .rng import RandomStream
-from .sampler import (
-    Chain,
-    HmcMove,
-    draw_momentum,
-    hmc_update,
-    reflect_head,
-    reflect_tail,
-    reflection_log_ratio,
-    reflection_update,
-    run_chain,
-)
-from .tridiag import SingularSystemError, TridiagonalOperator, thomas_solve, tridiag_matvec
+# each module's __all__ is the one list of its public names
+from .harness import *
+from .integrators import *
+from .model import *
+from .posterior import *
+from .rng import *
+from .sampler import *
+from .tridiag import *

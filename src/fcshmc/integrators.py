@@ -137,7 +137,6 @@ class MidpointSystem:
     Python so that a step's cost stays proportional to M.
     """
 
-    h: float
     drift_coeff: np.ndarray  # theta h / m, 0-d
     lhs: TridiagonalOperator
     rhs_op: TridiagonalOperator
@@ -157,8 +156,8 @@ class MidpointSystem:
         rhs_op = TridiagonalOperator(off=alpha * lap.off, diag=eye + alpha * lap.diag)
         scale = h / (2.0 * problem.params.D)
         scaled_lap = TridiagonalOperator(off=scale * lap.off, diag=scale * lap.diag)
-        return cls(h=h, drift_coeff=np.asarray(hmc.theta * h / hmc.mass), lhs=lhs,
-                   rhs_op=rhs_op, scaled_lap=scaled_lap)
+        return cls(drift_coeff=np.asarray(hmc.theta * h / hmc.mass), lhs=lhs, rhs_op=rhs_op,
+                   scaled_lap=scaled_lap)
 
 
 def _midpoint_system(problem: PosteriorProblem, hmc: HmcParams, h: float) -> MidpointSystem:

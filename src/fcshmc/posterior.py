@@ -48,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ExperimentParams, TimescaleOrderingWarning, time_mesh
-from .tridiag import _F64, TridiagonalOperator
+from .tridiag import _F64, TridiagonalOperator, _shared_floats
 
 __all__ = [
     "Scheme",
@@ -185,10 +185,11 @@ class PosteriorProblem:
         # Row/column 0 removed: q_0 is pinned at zero and is not a sampling
         # degree of freedom, so implicit solves act on the remaining M-1.
         self.active_laplacian = TridiagonalOperator(off=lap.off[1:], diag=lap.diag[1:])
-        # hot-loop caches (python lists: see module docstring)
-        self._tau = link.tolist()
-        self._s = lap.off.tolist()
-        self._vp_coef = (1.0 / (4.0 * p.D * link)).tolist()
+        # hot-loop caches (python lists: see module docstring); each repeats
+        # two values, so equal entries share one float object
+        self._tau = _shared_floats(link)
+        self._s = _shared_floats(lap.off)
+        self._vp_coef = _shared_floats(1.0 / (4.0 * p.D * link))
         self._inv2d = 1.0 / (2.0 * p.D)
         self._inv2w = 1.0 / (2.0 * p.omega)
         self._dIdx = p.I_ref / p.omega  # |dI/dx| prefactor
@@ -292,8 +293,11 @@ def grad_v_like(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
     base = 1  # carried: window n's first node, 1 + n (K + 1)
     for wn in w:
         end = base + kk
-        # builtin sum adds left to right before Python 3.12 (3.12 compensates)
-        s = 0.5 * (prof[base] + prof[end]) + sum(prof[base + 1 : end])
+        # left to right by hand: builtin sum is compensated from Python 3.12
+        interior = 0.0
+        for e in prof[base + 1 : end]:
+            interior += e
+        s = 0.5 * (prof[base] + prof[end]) + interior
         u = tau * (k_ibg + i_ref * s)
         f = (1.0 - wn / u) * tau
         row = [-f * didx] * (kk + 1)

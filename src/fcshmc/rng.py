@@ -29,16 +29,9 @@ class RandomStream:
             np.random.PCG64(np.random.SeedSequence((self.seed, self.stream_id)))
         )
 
-    # -- scalar draws -------------------------------------------------------
-
-    def standard_normal(self) -> float:
-        return float(self._gen.standard_normal())
-
     def uniform(self) -> float:
         """One draw from U[0, 1)."""
         return float(self._gen.random())
-
-    # -- vector draws (same underlying sequence as repeated scalar calls) ---
 
     def standard_normals(self, n: int) -> np.ndarray:
         return self._gen.standard_normal(n)

@@ -95,8 +95,7 @@ def grad_v_like(q, problem):
     for n in range(p.N):
         base = 1 + n * (kk + 1)
         prof = [math.exp(-xs[j] * xs[j] * inv2w) for j in range(base, base + kk + 1)]
-        # the kernel's builtin sum adds left to right only before Python
-        # 3.12, which made it compensated; there this comparison fails
+        # left to right, not by builtin sum (compensated from Python 3.12)
         interior = 0.0
         for e in prof[1:kk]:
             interior += e

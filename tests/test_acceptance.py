@@ -219,6 +219,7 @@ def test_criterion_08_second_order_self_convergence(tmp_path):
         assert 1.8 <= slopes[name] <= 2.2
 
 
+@pytest.mark.slow
 def test_criterion_09_acceptance_rate_windows_at_benchmark_step(tmp_path):
     config = apply_overrides(
         default_config("efficiency", seed=0, out_dir=tmp_path),
@@ -243,6 +244,7 @@ def test_criterion_10_linear_cost_in_trajectory_length(tmp_path):
     assert 0.7 <= slope_imex <= 1.3
 
 
+@pytest.mark.slow
 def test_criterion_11_posterior_spread_tracks_the_information():
     # prior-only chains must reproduce the pinned-walk node variances
     p = ExperimentParams(N=2, K=3)

@@ -83,10 +83,17 @@ def test_package_surface_resolves():
                    "sampler", "tridiag"):
         mod = importlib.import_module(f"fcshmc.{module}")
         unresolved += [f"{module}.{name}" for name in mod.__all__ if not hasattr(mod, name)]
+        # the package exposes every module's public names but the CLI's
+        if module != "cli":
+            unresolved += [f"fcshmc.{name}" for name in mod.__all__ if not hasattr(fc, name)]
     init = ast.parse(Path(fc.__file__).read_text())
     for node in ast.walk(init):
         if isinstance(node, ast.ImportFrom):
-            unresolved += [alias.name for alias in node.names if not hasattr(fc, alias.name)]
+            for alias in node.names:
+                # a * import re-exports its module's __all__
+                names = (importlib.import_module(f"fcshmc.{node.module}").__all__
+                         if alias.name == "*" else [alias.name])
+                unresolved += [name for name in names if not hasattr(fc, name)]
     read_by_bench = {
         fc: ["apply_overrides", "default_config", "simulate", "RandomStream",
              "PosteriorProblem", "exp_infer", "exp_efficiency", "reflect_head",

@@ -6,7 +6,8 @@ import pytest
 
 import _oracles
 from _oracles import central_diff_grad, dense_neumann_block, dense_two_scale_laplacian
-from fcshmc.model import ExperimentParams, TimescaleOrderingWarning, signal, simulate
+from fcshmc import posterior
+from fcshmc.model import ExperimentParams, TimescaleOrderingWarning, signal, simulate, time_mesh
 from fcshmc.posterior import (
     HmcParams,
     PosteriorProblem,
@@ -65,6 +66,19 @@ def test_problem_validates_counts_and_diffusion():
         PosteriorProblem(p, counts=np.array([0.5, 1.0, 2.0]))
     with pytest.raises(ValueError):
         PosteriorProblem(ExperimentParams(D=0.0))
+
+
+def test_problem_link_lists_share_one_float_per_value():
+    # the kernels' per-problem lists: their float64 sources bit for bit,
+    # one float object per distinct value
+    p = ExperimentParams(N=30, K=5)
+    problem = PosteriorProblem(p)
+    link = time_mesh(p).link_tau
+    sources = ((problem._tau, link), (problem._s, build_laplacian(p).off),
+               (problem._vp_coef, 1.0 / (4.0 * p.D * link)))
+    for values, source in sources:
+        assert np.array(values).tobytes() == source.tobytes()
+        assert len({id(v) for v in values}) == len(np.unique(source)) == 2
 
 
 # -- two-scale Laplacian -----------------------------------------------------
@@ -242,6 +256,27 @@ def test_grad_v_like_bit_identical_to_the_window_loop():
         assert got[0] == 0.0 and not np.signbit(got[0])
         expect = grad_v_prior(q, problem) + _oracles.grad_v_like(q, problem)
         assert grad_v(q, problem).tobytes() == expect.tobytes()
+
+
+def _compensated_sum(values, start=0):
+    """Builtin ``sum`` of floats as Python 3.12 computes it (Neumaier)."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_grad_v_like_bits_do_not_depend_on_builtin_sum(monkeypatch):
+    # a module global named sum shadows the builtin inside the kernel
+    cases = list(_oracle_cases(50, seed=23))
+    expect = [grad_v_like(q, problem).tobytes() for problem, q in cases]
+    monkeypatch.setattr(posterior, "sum", _compensated_sum, raising=False)
+    assert [grad_v_like(q, problem).tobytes() for problem, q in cases] == expect
 
 
 def _nonfinite_cases(count, seed):
