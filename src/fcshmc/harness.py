@@ -1,6 +1,6 @@
 """Experiment drivers: simulation, inference, and the benchmark suite.
 
-Each ``exp_*`` function consumes an :class:`ExperimentConfig`, runs one
+Each ``exp_*`` function takes only an :class:`ExperimentConfig`, runs one
 experiment end to end, writes timestamped CSV files plus a ``run_meta`` text
 file into the output directory, and returns its numerical results so callers
 (tests, demo scripts) can analyse them without re-parsing the CSVs.  The
@@ -232,9 +232,9 @@ def _write_run_meta(path: Path, config: ExperimentConfig, record: dict) -> Path:
 
 
 def _experiment(result_type, **defaults):
-    """Turn ``exp_<name>(config, write, ...) -> (result fields, meta extras)``
-    into the public ``exp_<name>(config, ...) -> result_type``, registered
-    as ``EXPERIMENTS[<name>]``.
+    """Turn ``exp_<name>(config, write) -> (result fields, meta extras)``
+    into the public ``exp_<name>(config) -> result_type``, registered as
+    ``EXPERIMENTS[<name>]``.
 
     ``defaults``, the values of config keys the experiment reads, are kept
     as the runner's ``.defaults`` for :func:`default_config`.  The runner
@@ -248,7 +248,7 @@ def _experiment(result_type, **defaults):
         experiment = body.__name__.removeprefix("exp_")
 
         @functools.wraps(body)
-        def run(config: ExperimentConfig, *args, **kwargs):
+        def run(config: ExperimentConfig):
             t0 = time.perf_counter()
             if not config.sweep:
                 config = replace(config, sweep=defaults.get("sweep"))
@@ -260,7 +260,7 @@ def _experiment(result_type, **defaults):
                 name = "_".join((experiment, *tags, stamp))
                 paths.append(_write_csv(config.out_dir / f"{name}.csv", header, rows))
 
-            found, extras = body(config, write, *args, **kwargs)
+            found, extras = body(config, write)
             wall = f"{time.perf_counter() - t0:.3f}"
             record = {"experiment": experiment, "timestamp": stamp, "build": _build_identifier(),
                       "version": __version__, "wall_time_sec": wall, **extras}
@@ -299,7 +299,7 @@ def fit_loglog_slope(x, y) -> float:
 # -- experiments ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulateResult:
     simulation: Simulation
     paths: list
@@ -323,7 +323,7 @@ def exp_simulate(config: ExperimentConfig, write):
     return dict(simulation=sim), {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InferResult:
     simulation: Simulation
     chains: dict
@@ -467,27 +467,29 @@ def exp_stability(config: ExperimentConfig, write):
     return dict(rows=rows), {"coordinate_index": coord, "target": "prior_only"}
 
 
-@_experiment(SweepResult, sweep=[0.02, 0.04, 0.06, 0.08, 0.10, 0.12])
-def exp_efficiency(config: ExperimentConfig, write, l_values: list[int] | None = None):
+@_experiment(SweepResult, L=100, sweep=[0.02, 0.04, 0.06, 0.08, 0.10, 0.12])
+def exp_efficiency(config: ExperimentConfig, write):
     """Mean HMC acceptance rate AR(h) for both schemes.
 
     For each h, AR is averaged over chains of ``updates_per_point`` updates
-    for every integration length L in ``l_values`` (default: primes < 100,
-    dodging resonant L h cycles).  Each (h, L) point gets fresh synthetic
-    data shared by the two schemes; chains start at the ground truth.
+    for every integration length that is a prime below ``L`` (primes dodge
+    resonant L h cycles; 3 <= L <= 1153, as from 191 lengths on, row 5's
+    chains would reuse row 0's data streams).  Each (h, L) point gets fresh
+    synthetic data shared by the two schemes; chains start at the ground truth.
     """
     p, h0 = config.params, config.hmc
-    if l_values is None:
-        l_values = primes_below(100)
+    lengths = primes_below(h0.L)
+    if not 1 <= len(lengths) <= 190:
+        raise ValueError(f"efficiency needs 3 <= L <= 1153, got L = {h0.L}")
     rows = []
     for i, h_val in enumerate(config.sweep):
         ars = {Scheme.SVEX: [], Scheme.IMEX: []}
-        for j, l_val in enumerate(l_values):
+        for j, l_val in enumerate(lengths):
             point = i * 1009 + j
             sim = simulate(RandomStream(h0.seed, _SID_SWEEP_DATA + point), p)
             problem = PosteriorProblem(p, counts=sim.counts)
             for offset, scheme in enumerate((Scheme.SVEX, Scheme.IMEX)):
-                hmc = replace(h0, h=float(h_val), L=int(l_val), scheme=scheme,
+                hmc = replace(h0, h=float(h_val), L=l_val, scheme=scheme,
                               updates=config.updates_per_point)
                 chain = run_chain(sim.trajectory.values, problem, hmc,
                                   RandomStream(h0.seed, _SID_CHAIN + 2 * point + offset))
@@ -496,7 +498,7 @@ def exp_efficiency(config: ExperimentConfig, write, l_values: list[int] | None =
                      float(np.mean(ars[Scheme.SVEX])),
                      float(np.mean(ars[Scheme.IMEX]))))
     write(["h", "AR_svex", "AR_imex"], rows)
-    return dict(rows=rows), {"l_values": " ".join(str(v) for v in l_values),
+    return dict(rows=rows), {"l_values": " ".join(str(v) for v in lengths),
                              "init": "ground_truth"}
 
 

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PhaseState:
     """Positions and momenta on the flat mesh (slot 0 is the pinned anchor)."""
 
@@ -115,7 +115,7 @@ def sv_prior_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) 
     return _sv_step(state, posterior.grad_v_prior, problem, hmc.h, hmc.theta / hmc.mass)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MidpointSystem:
     """Precomputed operators of one implicit midpoint prior step of size h.
 

@@ -98,7 +98,7 @@ class ExperimentParams:
         return self.N * (self.K + 1) + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeMesh:
     """Node times of the flattened two-scale mesh.
 
@@ -112,7 +112,7 @@ class TimeMesh:
     link_tau: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Molecule positions (um) at the mesh nodes."""
 
@@ -120,7 +120,7 @@ class Trajectory:
     mesh: TimeMesh
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Simulation:
     """One synthetic data set: latent trajectory, window signal, counts."""
 

@@ -156,7 +156,7 @@ def exposure_coupling(params: ExperimentParams) -> TridiagonalOperator:
     return _path_laplacian(1.0 - _dead_links(params))
 
 
-@dataclass
+@dataclass(eq=False)
 class PosteriorProblem:
     """One inference target: parameters, counts, and precomputed structure.
 

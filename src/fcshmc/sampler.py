@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmcMove:
     """Outcome of one HMC update."""
 
@@ -53,7 +53,7 @@ class HmcMove:
     h_after: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chain:
     """Sampler output: samples[0] is the initial state, one row per update."""
 

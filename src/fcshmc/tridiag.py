@@ -52,7 +52,7 @@ def _shared_floats(values) -> list:
     return [pool[i] for i in index.tolist()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
     """Square symmetric tridiagonal matrix.
 
@@ -63,7 +63,7 @@ class TridiagonalOperator:
 
     off: np.ndarray
     diag: np.ndarray
-    size: int = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False)
 
     def __post_init__(self):
         off, diag = (np.array(b, dtype=np.float64) for b in (self.off, self.diag))

@@ -44,7 +44,7 @@ def test_traced_layer_names_resolve(monkeypatch):
     assert not missing
 
 
-def traced_layers_not_called(monkeypatch, tmp_path, experiment, overrides, **kwargs):
+def traced_layers_not_called(monkeypatch, tmp_path, experiment, overrides):
     runner = load_bench_runner(monkeypatch)
     fc = importlib.import_module("fcshmc")
     config = fc.apply_overrides(fc.default_config(experiment, seed=0, out_dir=tmp_path),
@@ -54,7 +54,7 @@ def traced_layers_not_called(monkeypatch, tmp_path, experiment, overrides, **kwa
     try:
         for owner, attr, name in targets:
             tracer.patch(owner, attr, name)
-        fc.harness.EXPERIMENTS[experiment](config, **kwargs)
+        fc.harness.EXPERIMENTS[experiment](config)
     finally:
         tracer.restore()
     layers = tracer.layers()
@@ -69,8 +69,8 @@ def test_traced_infer_calls_every_layer(monkeypatch, tmp_path):
 def test_traced_sweep_calls_every_layer(monkeypatch, tmp_path):
     # the efficiency sweep behind the sweep-tiny workload
     assert traced_layers_not_called(monkeypatch, tmp_path, "efficiency",
-                                    dict(N=2, K=3, sweep="0.03", updates_per_point=2),
-                                    l_values=[2, 3]) == []
+                                    dict(N=2, K=3, sweep="0.03", updates_per_point=2,
+                                         L=4)) == []
 
 
 def test_package_surface_resolves():

@@ -3,6 +3,7 @@ import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from fcshmc.harness import (
     CONFIG_KEYS,
     EXPERIMENTS,
     ExperimentConfig,
+    InferResult,
+    SimulateResult,
     apply_overrides,
     default_config,
     exp_certify,
@@ -27,10 +30,11 @@ from fcshmc.harness import (
     read_config_file,
     _max_q_norm,
 )
-from fcshmc.integrators import PhaseState
-from fcshmc.model import ExperimentParams
-from fcshmc.posterior import HmcParams, cfl_certificate
+from fcshmc.integrators import MidpointSystem, PhaseState
+from fcshmc.model import ExperimentParams, simulate
+from fcshmc.posterior import HmcParams, PosteriorProblem, cfl_certificate
 from fcshmc.rng import RandomStream
+from fcshmc.sampler import HmcMove, run_chain
 
 
 def read_rows(path):
@@ -77,6 +81,30 @@ def test_max_q_norm_degenerate_and_blowup():
         return PhaseState(q=s.q * 1e200, p=s.p)
 
     assert _max_q_norm(state, explode, steps=3) == math.inf
+
+
+def array_records():
+    """One instance of every record type with array fields."""
+    params = ExperimentParams(N=2, K=2)
+    sim = simulate(RandomStream(0, 1), params)
+    problem = PosteriorProblem(params, counts=sim.counts)
+    hmc = HmcParams(L=2, updates=2)
+    q = sim.trajectory.values
+    chain = run_chain(q, problem, hmc, RandomStream(0, 2))
+    return [sim.trajectory.mesh, sim.trajectory, sim, problem, problem.active_laplacian,
+            PhaseState(q=q, p=q), MidpointSystem.build(problem, hmc, hmc.h),
+            HmcMove(q=q, accepted=True, h_before=0.0, h_after=0.0), chain,
+            SimulateResult(simulation=sim, paths=[]),
+            InferResult(simulation=sim, chains={"svex": chain}, paths=[])]
+
+
+def test_array_records_compare_by_identity():
+    # field-wise == would ask numpy arrays for one truth value and raise;
+    # these records compare and hash by identity instead
+    for first, again in zip(array_records(), array_records()):
+        assert (first == again) is False, type(first).__name__
+        assert first == first
+        assert len({first, again}) == 2
 
 
 # -- configuration -----------------------------------------------------------
@@ -210,8 +238,8 @@ def test_stability_records_phase_and_energy(tmp_path):
 
 def test_efficiency_small_steps_accept_everything(tmp_path):
     config = small_config("efficiency", tmp_path, sweep="0.0001",
-                          updates_per_point=25)
-    result = exp_efficiency(config, l_values=[2, 3, 5])
+                          updates_per_point=25, L=6)
+    result = exp_efficiency(config)
     header, rows = read_rows(result.paths[0])
     assert header == ["h", "AR_svex", "AR_imex"]
     (h, ar_svex, ar_imex), = result.rows
@@ -219,6 +247,21 @@ def test_efficiency_small_steps_accept_everything(tmp_path):
     assert ar_svex > 0.98 and ar_imex > 0.98
     meta = result.paths[1].read_text()
     assert "l_values = 2 3 5" in meta
+
+
+@pytest.mark.parametrize("length", [2, 1154])
+def test_efficiency_rejects_lengths_that_sweep_nothing_or_alias(
+        monkeypatch, tmp_path, capsys, length):
+    # L = 2 leaves no prime length; L = 1154 gives 191, and then row 5's
+    # chain streams reach row 0's data streams
+    def no_chain(*args):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr("fcshmc.harness.run_chain", no_chain)
+    with pytest.raises(ValueError, match="3 <= L <= 1153"):
+        exp_efficiency(small_config("efficiency", tmp_path, L=length))
+    assert main(["efficiency", "--L", str(length), "--out", str(tmp_path)]) == EXIT_SETUP
+    capsys.readouterr()
 
 
 def test_convergence_reference_point_has_zero_error(tmp_path):
@@ -282,15 +325,15 @@ def test_run_meta_records_the_sweep_that_ran(tmp_path):
 
 
 # SHA-256 of every CSV (stamp stripped from the file name) of small runs at a
-# fixed seed: experiment -> (config overrides, keyword arguments, digests).
+# fixed seed: experiment -> (config overrides, digests).
 # These digests change only in a change that means to change outputs, and
 # such a change says so in CHANGES.md.
 GOLDEN_RUNS = {
-    "simulate": (dict(N=4, K=3), {}, {
+    "simulate": (dict(N=4, K=3), {
         "simulate_counts": "8418164d787e2851708dc0c95cfe19f75f51d442ba99d5acc7865f3e9957beaf",
         "simulate_trajectory": "6c7dd777e78ca6de04ddf03e67a81926e646dc662dcd64aebe893c51ed1b0bd5",
     }),
-    "infer": (dict(N=3, K=3, updates=30, thin=10), {}, {
+    "infer": (dict(N=3, K=3, updates=30, thin=10), {
         "infer_counts": "d294cbad7762a433022256f449f7268eeb152ea9426a6794182eb834c760d211",
         "infer_truth": "0fa6bd6443bc573477a97eef5dd2d8dd91235b687fb956e477ecb22ad1cd7c31",
         "infer_chain_svex": "eac5704dd3a35323b14d0032a2dada2b0843a61600a43dc9c9e7bab2e9af056b",
@@ -298,29 +341,29 @@ GOLDEN_RUNS = {
         "infer_chain_imex": "1f95eecc93bb78bed0920b2de1177908e8c21f1303d539f9e603c27668e6363a",
         "infer_samples_imex": "975954f7bc4368e71b7003bd8940e6eda5b896110b7c2df5e4f5fcf1bce75a56",
     }),
-    "certify": ({}, {}, {
+    "certify": ({}, {
         "certify": "93b66a014858401b9b6cb997f36425504f1f45d1ae666d0b5dc23a242fd91cc4",
     }),
-    "surrogate": (dict(sweep="0.01 0.05 0.3"), {}, {
+    "surrogate": (dict(sweep="0.01 0.05 0.3"), {
         "surrogate": "975abd29fdbb99422d831d066f3f62596e1ff12d3d7cd20a5f468dbefef224ce",
     }),
-    "stability": (dict(sweep="0.02 0.2", L=5), {}, {
+    "stability": (dict(sweep="0.02 0.2", L=5), {
         "stability": "89b3bdb1aefb71198c53d13acf13041ad8fb41e4cbb3b382289009c6141ca63a",
     }),
-    "efficiency": (dict(sweep="0.02 0.1", updates_per_point=10), dict(l_values=[2, 3, 5]), {
+    "efficiency": (dict(sweep="0.02 0.1", updates_per_point=10, L=6), {
         "efficiency": "0295621abf582246dd9c564072cbc285fd6d2c010356efdb3f760347b1d5e501",
     }),
-    "convergence": (dict(sweep="0.01 0.02", reference_h=0.002), {}, {
+    "convergence": (dict(sweep="0.01 0.02", reference_h=0.002), {
         "convergence": "7e2ecce9a5beefb384d9ebbe47476b15f20d12775e058e8693481e89eccf1635",
     }),
 }
 
 
 def golden_run(name, out_dir):
-    overrides, kwargs, _ = GOLDEN_RUNS[name]
+    overrides, _ = GOLDEN_RUNS[name]
     config = apply_overrides(default_config(name, seed=3, out_dir=out_dir),
                              {"N": 2, "K": 2, **overrides})
-    return config, EXPERIMENTS[name](config, **kwargs)
+    return config, EXPERIMENTS[name](config)
 
 
 def csv_digests(result):
@@ -331,7 +374,7 @@ def csv_digests(result):
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_csv_outputs_match_golden_digests(tmp_path, name):
     _, result = golden_run(name, tmp_path)
-    assert csv_digests(result) == GOLDEN_RUNS[name][2]
+    assert csv_digests(result) == GOLDEN_RUNS[name][1]
 
 
 @pytest.mark.parametrize("name", sorted(set(EXPERIMENTS) - {"complexity"}))
@@ -346,8 +389,7 @@ def test_every_registered_default_changes_the_output(tmp_path, name):
         value = getattr(getattr(config, section) if section else config, field_name)
         other = value[:1] if isinstance(value, list) else 2 * value
         changed = EXPERIMENTS[name](apply_overrides(
-            replace(config, out_dir=tmp_path / key), {key: other}),
-            **GOLDEN_RUNS[name][1])
+            replace(config, out_dir=tmp_path / key), {key: other}))
         if not set(csv_digests(changed).items()) - set(baseline.items()):
             unread.append(key)
     assert unread == []
@@ -355,18 +397,25 @@ def test_every_registered_default_changes_the_output(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_run_meta_replays_the_config(tmp_path, name):
-    config, result = golden_run(name, tmp_path)
+    config, result = golden_run(name, tmp_path / "run")
     recorded = read_config_file(result.paths[-1])
     # every config key is recorded; a run without a sweep has none to record
     assert set(CONFIG_KEYS) - set(recorded) == ({"sweep"} if config.sweep is None else set())
-    assert apply_overrides(default_config(name), recorded) == config
+    replay = apply_overrides(default_config(name), recorded)
+    assert replay == config
+    # the file alone replays the run: the same CSVs in a fresh directory
+    again = EXPERIMENTS[name](replace(replay, out_dir=tmp_path / "replay"))
+    assert csv_digests(again) == csv_digests(result)
 
 
-@pytest.mark.parametrize("name", sorted(set(GOLDEN_RUNS) - {"certify"}) + ["complexity"])
+@pytest.mark.parametrize("name", sorted(set(GOLDEN_RUNS) - {"certify"})
+                         + ["complexity", "efficiency_L1153"])
 def test_experiment_opens_each_stream_once(monkeypatch, tmp_path, name):
     # the ad hoc stream ids of the roles (data, initial state, chains, sweep
     # points) must not alias within a run: a repeated (seed, stream_id)
     # would hand two roles the same draws.  certify draws nothing.
+    # efficiency_L1153 is the longest sweep over the default six h rows:
+    # 190 lengths; its 2,280 chains open their streams but do not run.
     opened = []
     init = RandomStream.__init__
 
@@ -377,6 +426,10 @@ def test_experiment_opens_each_stream_once(monkeypatch, tmp_path, name):
     monkeypatch.setattr(RandomStream, "__init__", record)
     if name == "complexity":
         exp_complexity(small_config("complexity", tmp_path, sweep="5 8", repeats=1))
+    elif name == "efficiency_L1153":
+        monkeypatch.setattr("fcshmc.harness.run_chain",
+                            lambda *args: SimpleNamespace(accept_rate=1.0))
+        exp_efficiency(small_config("efficiency", tmp_path, L=1153))
     else:
         golden_run(name, tmp_path)
     assert opened
