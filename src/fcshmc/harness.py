@@ -110,8 +110,8 @@ class ExperimentConfig:
             raise ValueError("thin must be >= 1")
         if self.updates_per_point < 1:
             raise ValueError("updates_per_point must be >= 1")
-        if self.reference_h <= 0:
-            raise ValueError("reference_h must be > 0")
+        if not (math.isfinite(self.reference_h) and self.reference_h > 0):
+            raise ValueError("reference_h must be finite and > 0")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
@@ -239,10 +239,11 @@ def _experiment(result_type, **defaults):
     ``defaults``, the values of config keys the experiment reads, are kept
     as the runner's ``.defaults`` for :func:`default_config`.  The runner
     fills in the experiment's default sweep when the config has none,
-    creates the output directory, stamps and times the run, and passes the
-    body ``write(header, rows, *tags)``, which writes
-    ``<name>[_<tag>...]_<stamp>.csv``.  run_meta is written last, so
-    ``paths`` lists the CSVs, then meta.
+    stamps and times the run, and passes the body ``write(header, rows,
+    *tags)``, which writes ``<name>[_<tag>...]_<stamp>.csv``.  run_meta is
+    written last, so ``paths`` lists the CSVs, then meta.  The output
+    directory is created with the first file, so a run that the body
+    rejects before writing leaves none behind.
     """
     def wrap(body):
         experiment = body.__name__.removeprefix("exp_")
@@ -252,19 +253,22 @@ def _experiment(result_type, **defaults):
             t0 = time.perf_counter()
             if not config.sweep:
                 config = replace(config, sweep=defaults.get("sweep"))
-            config.out_dir.mkdir(parents=True, exist_ok=True)
             stamp = _timestamp()
             paths = []
 
+            def out_path(name: str) -> Path:
+                config.out_dir.mkdir(parents=True, exist_ok=True)
+                return config.out_dir / name
+
             def write(header: list[str], rows, *tags: str) -> None:
                 name = "_".join((experiment, *tags, stamp))
-                paths.append(_write_csv(config.out_dir / f"{name}.csv", header, rows))
+                paths.append(_write_csv(out_path(f"{name}.csv"), header, rows))
 
             found, extras = body(config, write)
             wall = f"{time.perf_counter() - t0:.3f}"
             record = {"experiment": experiment, "timestamp": stamp, "build": _build_identifier(),
                       "version": __version__, "wall_time_sec": wall, **extras}
-            paths.append(_write_run_meta(config.out_dir / f"run_meta_{stamp}.txt", config, record))
+            paths.append(_write_run_meta(out_path(f"run_meta_{stamp}.txt"), config, record))
             return result_type(**found, paths=paths)
 
         run.defaults = defaults
@@ -569,6 +573,8 @@ def exp_complexity(config: ExperimentConfig, write):
     expected to scale linearly in the trajectory length M = N(K+1)+1.
     """
     h0 = config.hmc
+    if not all(float(k).is_integer() for k in config.sweep):
+        raise ValueError(f"complexity sweeps whole K values, got {config.sweep}")
     rows = []
     for idx, k_val in enumerate(config.sweep):
         k = int(k_val)

@@ -17,6 +17,7 @@ verbatim; no squaring is applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +78,12 @@ class ExperimentParams:
     K: int = 20
 
     def __post_init__(self):
-        if self.D < 0:
-            raise ValueError("D must be >= 0")
+        if not (math.isfinite(self.D) and self.D >= 0):
+            raise ValueError("D must be finite and >= 0")
         for name in ("I_ref", "I_bg", "omega", "tau_dead", "tau_exp"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and > 0")
         for name in ("N", "K"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:

@@ -121,14 +121,6 @@ def reflect_tail(q: np.ndarray, n: int, k: int, params: ExperimentParams) -> np.
     return out
 
 
-def _log_ratio(q, pos: int, inv_d: float, tau: list) -> float:
-    """Localized log acceptance ratio of the reflection at flat node pos;
-    tau holds the M-1 link durations."""
-    if pos == len(tau):
-        return 0.0  # head: global negation; tail: identity
-    return -q[pos] * q[pos + 1] * inv_d / tau[pos]
-
-
 def reflection_log_ratio(q: np.ndarray, n: int, k: int, problem: PosteriorProblem) -> float:
     """Log posterior ratio log P(r(q)) - log P(q) for the reflection at (n, k).
 
@@ -140,7 +132,25 @@ def reflection_log_ratio(q: np.ndarray, n: int, k: int, problem: PosteriorProble
     global negation and the tail move is the identity, so the ratio is 0.
     """
     pos = _flat_index(problem.params, n, k)
-    return _log_ratio(q, pos, 1.0 / problem.params.D, problem._tau)
+    if pos == problem.node_count - 1:
+        return 0.0
+    return -q[pos] * q[pos + 1] * (1.0 / problem.params.D) / problem._tau[pos]
+
+
+@np.errstate(all="ignore")
+def _sweep_log_ratios(q: np.ndarray, problem: PosteriorProblem) -> list:
+    """``reflection_log_ratio`` of every proposal of a sweep, in mesh order,
+    bit for bit: formed at every node pos = 1..M-1 with the scalar form's
+    operations in its order, then the (N, K+1) window view drops each
+    window's first node, which makes no proposal.  Non-finite states give
+    inf and NaN silently, as scalar floats do."""
+    p = problem.params
+    log_r = np.negative(q[1:])
+    log_r[:-1] *= q[2:]
+    log_r *= 1.0 / p.D
+    log_r[:-1] /= problem._tau[1:]
+    log_r[-1] = 0.0  # the final node (see reflection_log_ratio)
+    return log_r.reshape(p.N, p.K + 1)[:, 1:].ravel().tolist()
 
 
 def reflection_update(q: np.ndarray, problem: PosteriorProblem, stream: RandomStream):
@@ -155,37 +165,31 @@ def reflection_update(q: np.ndarray, problem: PosteriorProblem, stream: RandomSt
 
     Every decision is made from the pre-sweep state, which is exact: an
     earlier head flip leaves q[pos] and q[pos+1] alone, and an earlier tail
-    flip negates both, so their product keeps every bit.  A cumulative XOR
-    over the accepted nodes then negates each entry once if an odd number of
-    accepted flips cover it: for head moves, those at or after its node; for
-    tail moves, those strictly before it.  The sweep is O(M), however many
-    proposals are accepted, and gives the states of flipping node by node
-    bit for bit, the sign of zero included.
+    flip negates both, so their product keeps every bit.  So the N*K ratios
+    come from one numpy pass (``_sweep_log_ratios``); each decision
+    log_r >= 0 or u < exp(log_r) stays a scalar test with ``math.exp``,
+    which ``np.exp`` (1 ulp off on some inputs) would not reproduce.  A
+    cumulative XOR over the accepted nodes then negates each entry once if
+    an odd number of accepted flips cover it: for head moves, those at or
+    after its node; for tail moves, those strictly before it.  The sweep is
+    O(M), however many proposals are accepted, and gives the states of
+    flipping node by node bit for bit, the sign of zero included.
     """
     p = problem.params
-    tau = problem._tau
-    inv_d = 1.0 / p.D
     head = stream.uniform() < 0.5
     us = stream.uniforms(p.N * p.K).tolist()
-    x = q.tolist()
-    flips = []
-    i = 0
-    for n in range(p.N):
-        first = n * (p.K + 1) + 2
-        for pos in range(first, first + p.K):
-            log_r = _log_ratio(x, pos, inv_d, tau)
-            if log_r >= 0.0 or us[i] < math.exp(log_r):
-                flips.append(pos)
-            i += 1
-    odd = np.zeros(len(x), dtype=bool)
-    odd[flips] = True
+    exp = math.exp
+    accept = np.fromiter([r >= 0.0 or u < exp(r) for r, u in zip(_sweep_log_ratios(q, problem), us)],
+                         bool, p.N * p.K)
+    odd = np.zeros(len(q), dtype=bool)
+    odd[1:].reshape(p.N, p.K + 1)[:, 1:] = accept.reshape(p.N, p.K)
     if head:
         odd = np.logical_xor.accumulate(odd[::-1])[::-1]
     else:
         odd[1:] = np.logical_xor.accumulate(odd[:-1])
     odd[0] = False  # the anchor q[0] is never flipped
     np.negative(q, out=q, where=odd)
-    return q, len(flips)
+    return q, int(np.count_nonzero(accept))
 
 
 def run_chain(

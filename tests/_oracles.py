@@ -63,7 +63,7 @@ def reflection_sweep(q, problem, stream):
     order one scalar uniform, the localized ratio of the current state, and
     an O(M) slice negation on accept.  Returns (q, accepted flips)."""
     p = problem.params
-    tau = problem._tau
+    tau = _link_taus(p)
     head = stream.uniform() < 0.5
     accepted = 0
     inv_d = 1.0 / p.D

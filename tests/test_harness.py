@@ -127,6 +127,32 @@ def test_config_validation():
             ExperimentConfig(**bad)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_reference_step(value):
+    with pytest.raises(ValueError, match="reference_h must be finite"):
+        ExperimentConfig(reference_h=value)
+
+
+@pytest.mark.parametrize("sweep", ["10.5 20", "nan", "inf"])
+def test_complexity_rejects_fractional_mesh_sizes(tmp_path, sweep):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="whole K values"):
+        exp_complexity(small_config("complexity", out, sweep=sweep))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--h", "nan"], ["infer", "--h", "inf"], ["infer", "--mass", "nan"],
+    ["infer", "--D", "nan"], ["infer", "--tau_exp", "inf"],
+    ["convergence", "--reference_h", "nan"], ["complexity", "--sweep", "10.5 20"],
+], ids=" ".join)
+def test_cli_rejects_non_finite_or_fractional_setup_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_SETUP
+    assert "invalid setup" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_apply_overrides_typing_and_routing():
     config = default_config("simulate")
     out = apply_overrides(config, {
@@ -258,9 +284,11 @@ def test_efficiency_rejects_lengths_that_sweep_nothing_or_alias(
         raise AssertionError("a chain ran")
 
     monkeypatch.setattr("fcshmc.harness.run_chain", no_chain)
+    out = tmp_path / "rejected"
     with pytest.raises(ValueError, match="3 <= L <= 1153"):
-        exp_efficiency(small_config("efficiency", tmp_path, L=length))
-    assert main(["efficiency", "--L", str(length), "--out", str(tmp_path)]) == EXIT_SETUP
+        exp_efficiency(small_config("efficiency", out, L=length))
+    assert main(["efficiency", "--L", str(length), "--out", str(out)]) == EXIT_SETUP
+    assert not out.exists()  # the output directory comes with the first file
     capsys.readouterr()
 
 

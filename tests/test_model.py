@@ -40,6 +40,13 @@ def test_invalid_params_rejected(field, value):
         ExperimentParams(**{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["D", "I_ref", "I_bg", "omega", "tau_dead", "tau_exp"])
+def test_non_finite_params_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ExperimentParams(**{field: value})
+
+
 def test_zero_diffusion_is_allowed():
     assert ExperimentParams(D=0.0).D == 0.0
 

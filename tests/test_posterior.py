@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -48,6 +49,13 @@ def test_hmc_params_validation():
             HmcParams(**bad)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["mass", "h"])
+def test_hmc_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        HmcParams(**{field: value})
+
+
 def test_scheme_accepts_plain_strings():
     assert HmcParams(scheme="svex").scheme is Scheme.SVEX
     assert HmcParams(scheme="imex").scheme is Scheme.IMEX
@@ -69,16 +77,18 @@ def test_problem_validates_counts_and_diffusion():
 
 
 def test_problem_link_lists_share_one_float_per_value():
-    # the kernels' per-problem lists: their float64 sources bit for bit,
-    # one float object per distinct value
+    # the gradient loop's coupling list: its float64 source bit for bit, one
+    # float object per distinct value; the link arrays of the numpy kernels:
+    # their sources bit for bit, read-only
     p = ExperimentParams(N=30, K=5)
     problem = PosteriorProblem(p)
     link = time_mesh(p).link_tau
-    sources = ((problem._tau, link), (problem._s, build_laplacian(p).off),
-               (problem._vp_coef, 1.0 / (4.0 * p.D * link)))
-    for values, source in sources:
-        assert np.array(values).tobytes() == source.tobytes()
-        assert len({id(v) for v in values}) == len(np.unique(source)) == 2
+    off = build_laplacian(p).off
+    assert np.array(problem._s).tobytes() == off.tobytes()
+    assert len({id(v) for v in problem._s}) == len(np.unique(off)) == 2
+    for values, source in ((problem._tau, link), (problem._vp_coef, 1.0 / (4.0 * p.D * link))):
+        assert values.tobytes() == source.tobytes()
+        assert not values.flags.writeable
 
 
 # -- two-scale Laplacian -----------------------------------------------------
@@ -290,12 +300,28 @@ def _nonfinite_cases(count, seed):
         yield problem, q
 
 
+def _large_mesh_cases(seed):
+    """(problem, q) pairs on meshes of M = 1,001 to 10,501 nodes, at three
+    state scales, with random +-0 entries; summing their energy terms in any
+    order but left to right changes the last bits."""
+    rng = np.random.default_rng(seed)
+    for n, k in ((250, 3), (50, 20), (97, 13), (500, 20)):
+        p = ExperimentParams(N=n, K=k)
+        problem = PosteriorProblem(p, counts=rng.integers(0, 6, n))
+        for scale in (1e-3, 0.1, 1.0):
+            q = scale * rng.standard_normal(p.node_count)
+            zero = rng.random(p.node_count) < 0.3
+            q[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+            q[0] = 0.0
+            yield problem, q
+
+
 def test_kernels_bit_identical_to_the_index_loops():
     # compared by bytes: the sign of zero and NaN bits must match too
     def bits(x):
         return np.float64(x).tobytes()
 
-    for problem, q in _nonfinite_cases(300, seed=22):
+    for problem, q in itertools.chain(_nonfinite_cases(300, seed=22), _large_mesh_cases(24)):
         assert grad_v_prior(q, problem).tobytes() == _oracles.grad_v_prior(q, problem).tobytes()
         assert grad_v_like(q, problem).tobytes() == _oracles.grad_v_like(q, problem).tobytes()
         assert bits(v_prior(q, problem)) == bits(_oracles.v_prior(q, problem))

@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,29 @@ def test_sweep_matches_oracle_at_ten_thousand_nodes():
                               0.05 * rng.standard_normal(p.node_count))):
         q[0] = 0.0
         assert_sweep_matches_oracle(q, problem, 500 + seed)
+
+
+def test_numpy_kernels_raise_no_warnings_on_non_finite_states():
+    # blown-up proposals reach v_prior through hamiltonian; like the scalar
+    # loops they replace, v_prior and the sweep's ratio pass give inf and NaN
+    # (inf - inf, inf * 0, overflowing squares and products) without warnings
+    p = ExperimentParams(N=3, K=4)
+    problem = PosteriorProblem(p)
+    rng = np.random.default_rng(40)
+    states = []
+    for bad in ((math.inf, math.inf), (-math.inf, math.inf), (math.nan, 0.5),
+                (math.inf, 0.0), (1e200, -1e200), (1e300, 1e300)):
+        for at in (1, 6, p.node_count - 2):
+            q = 0.1 * rng.standard_normal(p.node_count)
+            q[0] = 0.0
+            q[at : at + 2] = bad
+            states.append(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, q in enumerate(states):
+            v_prior(q, problem)
+            reflection_update(q.copy(), problem, RandomStream(seed, 5))
+    assert not all(math.isfinite(v_prior(q, problem)) for q in states)
 
 
 def test_sweep_balances_sign_modes():
