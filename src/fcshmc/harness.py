@@ -526,6 +526,17 @@ def _integrate_recorded(init: PhaseState, problem: PosteriorProblem, hmc: HmcPar
     return state, drift
 
 
+def _steps_to_time_one(h) -> int:
+    """round(1 / h), the step count of a run to time 1.  Rejects every h that
+    gives no step (h <= 0, h >= 2 since round(0.5) is 0, nan and inf) and
+    every h whose 1 / h overflows."""
+    h = float(h)
+    inv = 1.0 / h if h > 0.0 else 0.0
+    if not (math.isfinite(inv) and round(inv) >= 1):
+        raise ValueError(f"convergence step sizes need 0 < h < 2 and a finite 1 / h, got {h}")
+    return round(inv)
+
+
 @_experiment(SweepResult, sweep=[
     1.0 / l for l in (100, 141, 200, 283, 400, 566, 800, 1131, 1600, 2263, 3200)])
 def exp_convergence(config: ExperimentConfig, write):
@@ -537,20 +548,19 @@ def exp_convergence(config: ExperimentConfig, write):
     Blown-up runs are recorded as inf and excluded from slope fits.
     """
     p, h0 = config.params, config.hmc
+    l_ref, *sweep_steps = map(_steps_to_time_one, (config.reference_h, *config.sweep))
     sim = simulate(RandomStream(h0.seed, _SID_DATA), p)
     problem = PosteriorProblem(p, counts=sim.counts)
     init = _prior_draw(config)
 
     reference = {}
-    l_ref = round(1.0 / config.reference_h)
     for scheme in (Scheme.SVEX, Scheme.IMEX):
         hmc = replace(h0, h=config.reference_h, scheme=scheme)
         terminal, _ = _integrate_recorded(init, problem, hmc, l_ref, scheme, False)
         reference[scheme] = terminal.q
 
     rows = []
-    for h_val in config.sweep:
-        steps = round(1.0 / float(h_val))
+    for h_val, steps in zip(config.sweep, sweep_steps):
         errs = {}
         for scheme in (Scheme.SVEX, Scheme.IMEX):
             hmc = replace(h0, h=float(h_val), scheme=scheme)
@@ -560,7 +570,7 @@ def exp_convergence(config: ExperimentConfig, write):
         rows.append((float(h_val), errs[Scheme.SVEX][0], errs[Scheme.IMEX][0],
                      errs[Scheme.SVEX][1], errs[Scheme.IMEX][1]))
     write(["h", "q_err_svex", "q_err_imex", "H_err_svex", "H_err_imex"], rows)
-    return dict(rows=rows), {"steps": " ".join(str(round(1.0 / float(h))) for h in config.sweep)}
+    return dict(rows=rows), {"steps": " ".join(map(str, sweep_steps))}
 
 
 @_experiment(SweepResult, N=2, h=0.05, L=20, sweep=[10, 14, 20, 28, 40, 56, 79, 100])

@@ -13,15 +13,27 @@ tridiagonal solves with a fixed matrix; ``MidpointSystem`` holds the
 prefabricated operators for one (problem, theta, mass, h), each a symmetric
 ``TridiagonalOperator`` with two bands (off-diagonal and diagonal).
 
-The L-step drivers telescope adjacent half maps: SVEX merges the paired half
-kicks of the full-potential leapfrog (L+1 gradient evaluations total), and
-IMEX merges the paired half midpoint maps of the Strang composition into full
-ones (L-1 interior full midpoint steps plus the two boundary halves).
+Two loops do all the stepping.  ``_leapfrog`` runs Verlet steps and merges
+each pair of adjacent half kicks into one full kick (steps + 1 gradient
+evaluations); ``_strang`` runs Strang steps (half midpoint, likelihood
+Verlet, half midpoint) and merges each pair of adjacent half midpoint maps
+into one full one (steps - 1 interior full midpoint steps plus the two
+boundary halves).  An L-step trajectory is the one-step map composed L times
+with adjacent half maps merged, and a single step has nothing to merge, so
+each one-step map is its loop at steps = 1: the three Verlet maps and
+``svex_l_steps`` wrap ``_leapfrog``, ``imex_step`` and ``imex_l_steps`` wrap
+``_strang``.  Each wrapper passes its own drift coefficient, h times the
+kinetic weight for the one-step maps and h / m for ``svex_l_steps``: the two
+forms round differently at some masses, so each map keeps its bits.  The
+wrappers look the gradients up on ``posterior`` at each call and ``_strang``
+calls the two sub-maps through this module's globals, the names the
+benchmark's tracer patches.
 
-Each map copies its input state once and returns the copies.  Verlet maps
-scale each fresh gradient in place and make one temporary per drift; the
-midpoint map adds its right-hand-side terms into the matvec results and makes
-one temporary, its drift term.
+``_leapfrog`` and the midpoint map each copy their input state once and
+return the copies; ``_strang`` passes each sub-map's result to the next.
+``_leapfrog`` scales each fresh gradient in place and makes one temporary per
+drift; the midpoint map adds its right-hand-side terms into the matvec
+results and makes one temporary, its drift term.
 
 A step's fixed cost, the part that does not grow with M, is kept small: at
 the small M of acceptance check 10 it is most of a step's time.  The step
@@ -79,18 +91,24 @@ def _state(q: np.ndarray, p: np.ndarray) -> PhaseState:
     return state
 
 
-def _sv_step(state, gradient, problem, h, drift_coeff):
-    """Generic Verlet: half kick, drift, half kick; anchor slot frozen.
+def _leapfrog(state, gradient, problem, h, drift, steps):
+    """``steps`` Verlet steps with merged half kicks (steps + 1 gradient
+    evaluations); ``drift`` is h times the kinetic weight.  Anchor slot frozen.
 
     ``gradient(q, problem)`` must return a fresh array: it is scaled in place.
     """
     q = state.q.copy()
     p = state.p.copy()
     qa, pa = q[1:], p[1:]
-    kick, drift = np.asarray(0.5 * h), np.asarray(h * drift_coeff)
+    kick, step, drift = np.asarray(0.5 * h), np.asarray(h), np.asarray(drift)
     g = gradient(q, problem)
     g *= kick
     pa -= g[1:]
+    for _ in range(steps - 1):
+        qa += drift * pa
+        g = gradient(q, problem)
+        g *= step
+        pa -= g[1:]
     qa += drift * pa
     g = gradient(q, problem)
     g *= kick
@@ -100,19 +118,19 @@ def _sv_step(state, gradient, problem, h, drift_coeff):
 
 def sv_full_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """Verlet step for the complete Hamiltonian (kinetic weight 1/m)."""
-    return _sv_step(state, posterior.grad_v, problem, hmc.h, 1.0 / hmc.mass)
+    return _leapfrog(state, posterior.grad_v, problem, hmc.h, hmc.h * (1.0 / hmc.mass), 1)
 
 
 def sv_likelihood_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """Verlet step for the likelihood subsystem (kinetic weight (1-theta)/m)."""
-    return _sv_step(
-        state, posterior.grad_v_like, problem, hmc.h, (1.0 - hmc.theta) / hmc.mass
-    )
+    return _leapfrog(state, posterior.grad_v_like, problem, hmc.h,
+                     hmc.h * ((1.0 - hmc.theta) / hmc.mass), 1)
 
 
 def sv_prior_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """Verlet step for the prior subsystem (kinetic weight theta/m)."""
-    return _sv_step(state, posterior.grad_v_prior, problem, hmc.h, hmc.theta / hmc.mass)
+    return _leapfrog(state, posterior.grad_v_prior, problem, hmc.h,
+                     hmc.h * (hmc.theta / hmc.mass), 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,13 +203,24 @@ def midpoint_prior_step(state: PhaseState, system: MidpointSystem) -> PhaseState
     return _state(q, p)
 
 
+def _strang(state, problem, hmc, steps):
+    """``steps`` Strang steps with interior half midpoints merged into full
+    ones.  A single step has no interior, so it neither builds nor caches the
+    full-step system."""
+    half = _midpoint_system(problem, hmc, 0.5 * hmc.h)
+    full = _midpoint_system(problem, hmc, hmc.h) if steps > 1 else None
+    st = midpoint_prior_step(state, half)
+    st = sv_likelihood_step(st, problem, hmc)
+    for _ in range(steps - 1):
+        st = midpoint_prior_step(st, full)
+        st = sv_likelihood_step(st, problem, hmc)
+    return midpoint_prior_step(st, half)
+
+
 def imex_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """One Strang step: half midpoint (prior), full Verlet (likelihood),
     half midpoint (prior)."""
-    half = _midpoint_system(problem, hmc, 0.5 * hmc.h)
-    st = midpoint_prior_step(state, half)
-    st = sv_likelihood_step(st, problem, hmc)
-    return midpoint_prior_step(st, half)
+    return _strang(state, problem, hmc, 1)
 
 
 def imex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
@@ -203,33 +232,10 @@ def imex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -
     so two half steps are not bitwise one full step) but keeps the same order
     of accuracy at half the implicit-solve cost.
     """
-    half = _midpoint_system(problem, hmc, 0.5 * hmc.h)
-    full = _midpoint_system(problem, hmc, hmc.h)
-    st = midpoint_prior_step(state, half)
-    st = sv_likelihood_step(st, problem, hmc)
-    for _ in range(hmc.L - 1):
-        st = midpoint_prior_step(st, full)
-        st = sv_likelihood_step(st, problem, hmc)
-    return midpoint_prior_step(st, half)
+    return _strang(state, problem, hmc, hmc.L)
 
 
 def svex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """L leapfrog steps of the full Hamiltonian with merged half kicks
     (L+1 gradient evaluations)."""
-    h, L = hmc.h, hmc.L
-    step, kick, drift = np.asarray(h), np.asarray(0.5 * h), np.asarray(h / hmc.mass)
-    q = state.q.copy()
-    p = state.p.copy()
-    qa, pa = q[1:], p[1:]
-    g = posterior.grad_v(q, problem)
-    g *= kick
-    pa -= g[1:]
-    for ell in range(1, L + 1):
-        qa += drift * pa
-        g = posterior.grad_v(q, problem)
-        if ell < L:
-            g *= step
-            pa -= g[1:]
-    g *= kick
-    pa -= g[1:]
-    return _state(q, p)
+    return _leapfrog(state, posterior.grad_v, problem, hmc.h, hmc.h / hmc.mass, hmc.L)

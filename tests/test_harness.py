@@ -144,7 +144,9 @@ def test_complexity_rejects_fractional_mesh_sizes(tmp_path, sweep):
 @pytest.mark.parametrize("argv", [
     ["infer", "--h", "nan"], ["infer", "--h", "inf"], ["infer", "--mass", "nan"],
     ["infer", "--D", "nan"], ["infer", "--tau_exp", "inf"],
-    ["convergence", "--reference_h", "nan"], ["complexity", "--sweep", "10.5 20"],
+    ["convergence", "--reference_h", "nan"], ["convergence", "--reference_h", "3"],
+    ["convergence", "--sweep", "0"], ["convergence", "--sweep", "3"],
+    ["complexity", "--sweep", "10.5 20"],
 ], ids=" ".join)
 def test_cli_rejects_non_finite_or_fractional_setup_before_writing(tmp_path, capsys, argv):
     out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import types
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import _oracles
+import fcshmc.integrators
 import fcshmc.posterior
 from fcshmc.integrators import (
     MidpointSystem,
@@ -22,9 +24,11 @@ from fcshmc.model import ExperimentParams, simulate
 from fcshmc.posterior import (
     HmcParams,
     PosteriorProblem,
+    Scheme,
     hamiltonian_prior,
 )
 from fcshmc.rng import RandomStream
+from fcshmc.sampler import hmc_update
 from fcshmc.tridiag import (
     SingularSystemError,
     TridiagonalOperator,
@@ -429,14 +433,82 @@ def test_svex_matches_naive_leapfrog_composition():
     assert np.max(np.abs(merged.p - naive.p)) < 1e-12
 
 
-def test_svex_gradient_evaluation_count(monkeypatch):
+def test_svex_single_step_is_one_verlet_step():
     problem = small_problem()
-    hmc = HmcParams(h=0.012, L=13)
-    st = random_state(problem, seed=19)
-    calls = []
-    true_grad = fcshmc.posterior.grad_v
-    monkeypatch.setattr(
-        fcshmc.posterior, "grad_v",
-        lambda q, prob: calls.append(1) or true_grad(q, prob))
-    svex_l_steps(st, problem, hmc)
-    assert len(calls) == hmc.L + 1
+    hmc = HmcParams(h=0.012, L=1)
+    st = random_state(problem, seed=13)
+    a = sv_full_step(st, problem, hmc)
+    b = svex_l_steps(st, problem, hmc)
+    assert np.array_equal(a.q, b.q)
+    assert np.array_equal(a.p, b.p)
+
+
+# sha256(q bytes + p bytes) of each public map's output, recorded before the
+# maps shared their loops.  At mass 1 the drift coefficients h / m and
+# h * (1 / m) round alike, so the golden runs cannot tell them apart; at
+# h = 0.02 they also round alike at mass 1.3 but not at 1.9.
+_MAP_DIGESTS = {
+    1.3: {
+        "sv_full_step": "e0a9afee66014e6b5fa822bcc7b0a381459c9d8fd3cd7625d204e6937ae377ba",
+        "sv_likelihood_step": "8d7deb3b19438fbd79998d0891a37a5919181d8011fc477819b16dc63b6643f1",
+        "sv_prior_step": "d1929a5c3157e5335ee366399d345b79f557ea48c18755f83939d54dba79b1b5",
+        "svex_l_steps": "d7879e4cf968c1c9dda1fc6b2d9358718b7eae1a55aa116089bd5d96139783b9",
+        "imex_step": "f5b60d7d1b5e42209518879b07243c29a3486b1c34077a80fa8c563ee0aabf89",
+        "imex_l_steps": "ab8345da9112e6283c481ef0304327b162d3d9e1bb3253a2da008f3cf6f79924",
+    },
+    1.9: {
+        "sv_full_step": "ab08b76e41404d05f3f15bfb2d8bc0e0bc76408dec3612fad393d096af710bc7",
+        "sv_likelihood_step": "39600e11b645cc76f8ddd5c7d1500008adc1029c22e97e7615ce93c14a45f3ba",
+        "sv_prior_step": "169c9252ce3973a421cf60cba0c7c56d1be96e27ef56576486479ed6578a01fb",
+        "svex_l_steps": "983846139faac61c4251fd68f60d62e205b0a89c38d61e00eb08038031faa41d",
+        "imex_step": "d6dc0eb6deabf7270cf72727414692f30e0aed87131aa8acce80a5e3ed95e5a5",
+        "imex_l_steps": "9eb3ef348131a7a5997daaa61d0b89e2c667019c1c06446aeff3925a6f1a6561",
+    },
+}
+
+
+@pytest.mark.parametrize("mass", sorted(_MAP_DIGESTS))
+def test_maps_match_digests_off_unit_mass(mass):
+    problem = small_problem(n=2, k=10)  # M = 23
+    hmc = HmcParams(h=0.02, L=5, mass=mass, theta=0.3)
+    st = random_state(problem, seed=23)
+    digests = {}
+    for step in (sv_full_step, sv_likelihood_step, sv_prior_step, svex_l_steps,
+                 imex_step, imex_l_steps):
+        out = step(st, problem, hmc)
+        assert np.all(np.isfinite(out.q)) and np.all(np.isfinite(out.p))
+        digests[step.__name__] = hashlib.sha256(out.q.tobytes() + out.p.tobytes()).hexdigest()
+    assert digests == _MAP_DIGESTS[mass]
+
+
+def test_svex_gradient_evaluation_count(monkeypatch):
+    # one update's calls through every name the benchmark's tracer patches
+    # below the drivers; the traced calls_per_update read these counts
+    counted = [(fcshmc.posterior, "grad_v"), (fcshmc.posterior, "grad_v_prior"),
+               (fcshmc.posterior, "grad_v_like"),
+               (fcshmc.integrators, "midpoint_prior_step"),
+               (fcshmc.integrators, "sv_likelihood_step"),
+               (fcshmc.integrators, "thomas_solve"), (fcshmc.integrators, "tridiag_matvec")]
+    calls = dict.fromkeys((name for _, name in counted), 0)
+
+    def counting(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    for owner, name in counted:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    problem = small_problem()
+    q = random_state(problem, seed=19).q
+    for L, scheme in itertools.product((1, 5), Scheme):
+        hmc = HmcParams(h=0.012, L=L, scheme=scheme)
+        calls.update(dict.fromkeys(calls, 0))
+        hmc_update(q, problem, hmc, RandomStream(19, 6))
+        if scheme is Scheme.SVEX:
+            expect = dict(grad_v=L + 1, grad_v_prior=L + 1, grad_v_like=L + 1)
+        else:
+            expect = dict(grad_v_like=2 * L, sv_likelihood_step=L,
+                          midpoint_prior_step=L + 1, thomas_solve=2 * (L + 1),
+                          tridiag_matvec=3 * (L + 1))
+        assert calls == {name: expect.get(name, 0) for name in calls}, (scheme, L)

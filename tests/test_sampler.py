@@ -9,7 +9,15 @@ import _oracles
 import fcshmc.integrators
 import fcshmc.posterior
 from fcshmc.model import ExperimentParams, simulate, time_mesh
-from fcshmc.posterior import HmcParams, PosteriorProblem, v_like, v_prior
+from fcshmc.posterior import (
+    HmcParams,
+    PosteriorProblem,
+    hamiltonian,
+    hamiltonian_like,
+    hamiltonian_prior,
+    v_like,
+    v_prior,
+)
 from fcshmc.rng import RandomStream
 from fcshmc.sampler import (
     draw_momentum,
@@ -319,12 +327,29 @@ def test_numpy_kernels_raise_no_warnings_on_non_finite_states():
             q[0] = 0.0
             q[at : at + 2] = bad
             states.append(q)
+    # the energies' kinetic term sees blown-up momenta too
+    finite_q = 0.1 * rng.standard_normal(p.node_count)
+    finite_q[0] = 0.0
+    momenta = []
+    for bad in (1e200, -1e200, math.inf, -math.inf, math.nan):
+        mom = rng.standard_normal(p.node_count)
+        mom[0] = 0.0
+        mom[4] = bad
+        momenta.append(mom)
+    hmc = HmcParams()
+    energies = (hamiltonian, hamiltonian_like, hamiltonian_prior)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed, q in enumerate(states):
             v_prior(q, problem)
             reflection_update(q.copy(), problem, RandomStream(seed, 5))
+        for q in (finite_q, *states):
+            for mom in momenta:
+                for energy in energies:
+                    energy(q, mom, problem, hmc)
     assert not all(math.isfinite(v_prior(q, problem)) for q in states)
+    assert not any(math.isfinite(energy(finite_q, mom, problem, hmc))
+                   for energy in energies for mom in momenta)
 
 
 def test_sweep_balances_sign_modes():
