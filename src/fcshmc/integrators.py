@@ -13,27 +13,20 @@ tridiagonal solves with a fixed matrix; ``MidpointSystem`` holds the
 prefabricated operators for one (problem, theta, mass, h), each a symmetric
 ``TridiagonalOperator`` with two bands (off-diagonal and diagonal).
 
-Two loops do all the stepping.  ``_leapfrog`` runs Verlet steps and merges
-each pair of adjacent half kicks into one full kick (steps + 1 gradient
-evaluations); ``_strang`` runs Strang steps (half midpoint, likelihood
-Verlet, half midpoint) and merges each pair of adjacent half midpoint maps
-into one full one (steps - 1 interior full midpoint steps plus the two
-boundary halves).  An L-step trajectory is the one-step map composed L times
-with adjacent half maps merged, and a single step has nothing to merge, so
-each one-step map is its loop at steps = 1: the three Verlet maps and
-``svex_l_steps`` wrap ``_leapfrog``, ``imex_step`` and ``imex_l_steps`` wrap
-``_strang``.  Each wrapper passes its own drift coefficient, h times the
-kinetic weight for the one-step maps and h / m for ``svex_l_steps``: the two
-forms round differently at some masses, so each map keeps its bits.  The
-wrappers look the gradients up on ``posterior`` at each call and ``_strang``
-calls the two sub-maps through this module's globals, the names the
-benchmark's tracer patches.
+Two loops do all the stepping, each merging the adjacent half maps of
+consecutive steps: ``_leapfrog`` Verlet's paired half kicks (steps + 1
+gradient evaluations), ``_strang`` the Strang composition's paired half
+midpoint maps (steps - 1 interior full midpoint steps and two boundary
+halves).  A single step has nothing to merge, so each one-step map is its
+loop at steps = 1.  Each wrapper passes its own drift coefficient (h times
+the kinetic weight, but h / m for ``svex_l_steps``: the forms round apart at
+some masses); the wrappers and ``_strang`` look up at call time the names
+the benchmark traces.
 
-``_leapfrog`` and the midpoint map each copy their input state once and
-return the copies; ``_strang`` passes each sub-map's result to the next.
-``_leapfrog`` scales each fresh gradient in place and makes one temporary per
-drift; the midpoint map adds its right-hand-side terms into the matvec
-results and makes one temporary, its drift term.
+``_leapfrog`` and the midpoint map copy their input state once and return the
+copies.  ``_leapfrog`` scales each fresh gradient in place and makes one
+temporary per drift; the midpoint map adds its right-hand-side terms into the
+matvec results and makes one temporary, its drift term.
 
 A step's fixed cost, the part that does not grow with M, is kept small: at
 the small M of acceptance check 10 it is most of a step's time.  The step
@@ -205,8 +198,7 @@ def midpoint_prior_step(state: PhaseState, system: MidpointSystem) -> PhaseState
 
 def _strang(state, problem, hmc, steps):
     """``steps`` Strang steps with interior half midpoints merged into full
-    ones.  A single step has no interior, so it neither builds nor caches the
-    full-step system."""
+    ones; a single step neither builds nor caches the full-step system."""
     half = _midpoint_system(problem, hmc, 0.5 * hmc.h)
     full = _midpoint_system(problem, hmc, hmc.h) if steps > 1 else None
     st = midpoint_prior_step(state, half)
