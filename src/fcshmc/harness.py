@@ -39,7 +39,7 @@ from .integrators import (
     sv_prior_step,
     svex_l_steps,
 )
-from .model import ExperimentParams, Simulation, sample_prior_trajectory, simulate
+from .model import ExperimentParams, Simulation, _validate, sample_prior_trajectory, simulate
 from .posterior import (
     CflCertificate,
     HmcParams,
@@ -106,14 +106,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
-        if self.updates_per_point < 1:
-            raise ValueError("updates_per_point must be >= 1")
-        if not (math.isfinite(self.reference_h) and self.reference_h > 0):
-            raise ValueError("reference_h must be finite and > 0")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        _validate(self, positive=("reference_h",),
+                  whole=dict(thin=1, updates_per_point=1, repeats=1))
 
 
 def _config_keys() -> dict:
@@ -401,15 +395,21 @@ class SweepResult:
     paths: list
 
 
+def _norm(x) -> float:
+    """||x||_2 with np.linalg.norm's bits on a contiguous x, but without its
+    overflow warning; a non-finite result counts as inf."""
+    sq = float(np.vdot(x, x))
+    return math.sqrt(sq) if math.isfinite(sq) else math.inf
+
+
 def _max_q_norm(state: PhaseState, one_step, steps: int) -> float:
     """max over l = 0..steps of ||q_l||_2; non-finite states count as inf."""
-    best = float(np.linalg.norm(state.q))
+    best = _norm(state.q)
     for _ in range(steps):
         state = one_step(state)
-        norm = float(np.linalg.norm(state.q))
-        if not math.isfinite(norm):
-            return math.inf
-        best = max(best, norm)
+        best = max(best, _norm(state.q))
+        if best == math.inf:
+            return best
     return best
 
 
@@ -565,8 +565,7 @@ def exp_convergence(config: ExperimentConfig, write):
         for scheme in (Scheme.SVEX, Scheme.IMEX):
             hmc = replace(h0, h=float(h_val), scheme=scheme)
             terminal, drift = _integrate_recorded(init, problem, hmc, steps, scheme, True)
-            q_err = float(np.linalg.norm(terminal.q - reference[scheme]))
-            errs[scheme] = (q_err if math.isfinite(q_err) else math.inf, drift)
+            errs[scheme] = (_norm(terminal.q - reference[scheme]), drift)
         rows.append((float(h_val), errs[Scheme.SVEX][0], errs[Scheme.IMEX][0],
                      errs[Scheme.SVEX][1], errs[Scheme.IMEX][1]))
     write(["h", "q_err_svex", "q_err_imex", "H_err_svex", "H_err_imex"], rows)

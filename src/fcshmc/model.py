@@ -40,6 +40,20 @@ __all__ = [
 ]
 
 
+def _validate(record, positive, whole):
+    """Raise ValueError unless each field named in ``positive`` is finite and
+    > 0 and each field named in ``whole`` (a mapping name -> least value) is
+    a Python or numpy integer at or above its least value."""
+    for name in positive:
+        v = getattr(record, name)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and > 0")
+    for name, least in whole.items():
+        v = getattr(record, name)
+        if not isinstance(v, (int, np.integer)) or v < least:
+            raise ValueError(f"{name} must be an integer >= {least}")
+
+
 class TimescaleOrderingWarning(UserWarning):
     """Submesh spacing is coarser than the dead gap.
 
@@ -80,14 +94,8 @@ class ExperimentParams:
     def __post_init__(self):
         if not (math.isfinite(self.D) and self.D >= 0):
             raise ValueError("D must be finite and >= 0")
-        for name in ("I_ref", "I_bg", "omega", "tau_dead", "tau_exp"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0")
-        for name in ("N", "K"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
+        _validate(self, positive=("I_ref", "I_bg", "omega", "tau_dead", "tau_exp"),
+                  whole=dict(N=1, K=1))
 
     @property
     def tau_sub(self) -> float:

@@ -57,7 +57,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ExperimentParams, TimescaleOrderingWarning, time_mesh
+from .model import ExperimentParams, TimescaleOrderingWarning, _validate, time_mesh
 from .tridiag import _F64, TridiagonalOperator, _shared_floats
 
 __all__ = [
@@ -115,14 +115,7 @@ class HmcParams:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        for name in ("mass", "h"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and > 0")
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
-        if self.updates < 0:
-            raise ValueError("updates must be >= 0")
+        _validate(self, positive=("mass", "h"), whole=dict(L=1, updates=0, seed=0))
         object.__setattr__(self, "scheme", Scheme(self.scheme))
 
 
@@ -187,7 +180,8 @@ class PosteriorProblem:
             w = np.asarray(self.counts)
             if w.shape != (p.N,):
                 raise ValueError(f"counts must have shape ({p.N},), got {w.shape}")
-            if np.any(w < 0) or not np.all(w == np.floor(w)):
+            # nan, inf and counts past int64 fail too: astype would wrap them
+            if not np.all((w >= 0) & (w < 2**63) & (w == np.floor(w))):
                 raise ValueError("counts must be nonnegative integers")
             self.counts = w.astype(np.int64)
         link = time_mesh(p).link_tau

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fcshmc import harness
 from fcshmc.cli import EXIT_IO, EXIT_OK, EXIT_SETUP, EXIT_USAGE, main
 from fcshmc.harness import (
     CONFIG_KEYS,
@@ -83,6 +85,27 @@ def test_max_q_norm_degenerate_and_blowup():
     assert _max_q_norm(state, explode, steps=3) == math.inf
 
 
+@pytest.mark.parametrize("value", [1e200, math.inf, math.nan])
+def test_norms_of_blown_up_states_are_inf_and_silent(tmp_path, monkeypatch, value):
+    # the surrogate's step norms and the convergence errors of a blown-up
+    # state read inf, without a RuntimeWarning
+    blown = PhaseState(q=np.array([0.0, value, -value]), p=np.zeros(3))
+
+    def integrate(init, problem, hmc, steps, scheme, track_energy):
+        # the sweep runs (track_energy) end blown up; the reference runs end at init
+        return (PhaseState(q=np.full_like(init.q, value), p=init.p) if track_energy
+                else init), 0.0
+
+    monkeypatch.setattr(harness, "_integrate_recorded", integrate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _max_q_norm(blown, lambda s: s, steps=0) == math.inf
+        assert _max_q_norm(replace(blown, q=np.ones(3)), lambda s: blown, steps=2) == math.inf
+        result = exp_convergence(small_config("convergence", tmp_path, sweep="0.5"))
+    (_, q_sv, q_im, _, _), = result.rows
+    assert q_sv == q_im == math.inf
+
+
 def array_records():
     """One instance of every record type with array fields."""
     params = ExperimentParams(N=2, K=2)
@@ -121,8 +144,10 @@ def test_default_config_per_experiment():
 
 
 def test_config_validation():
+    ExperimentConfig(thin=np.int64(3), updates_per_point=np.int64(3), repeats=np.int64(3))
     for bad in (dict(thin=0), dict(updates_per_point=0), dict(reference_h=0.0),
-                dict(repeats=0)):
+                dict(repeats=0), dict(thin=2.5), dict(updates_per_point=2.5),
+                dict(repeats=1.5)):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 

@@ -43,8 +43,10 @@ def random_problem(seed, n, k, **overrides):
 def test_hmc_params_validation():
     HmcParams(theta=0.0)
     HmcParams(theta=1.0)
+    HmcParams(L=np.int64(3), updates=np.int64(0), seed=np.int64(3))
     for bad in (dict(theta=-0.1), dict(theta=1.1), dict(mass=0.0), dict(h=0.0),
-                dict(L=0), dict(updates=-1)):
+                dict(L=0), dict(updates=-1), dict(L=2.5), dict(updates=2.5),
+                dict(seed=2.5), dict(seed=-1)):
         with pytest.raises(ValueError):
             HmcParams(**bad)
 
@@ -72,6 +74,10 @@ def test_problem_validates_counts_and_diffusion():
         PosteriorProblem(p, counts=np.array([1, -1, 0]))
     with pytest.raises(ValueError):
         PosteriorProblem(p, counts=np.array([0.5, 1.0, 2.0]))
+    for bad in (math.inf, math.nan, 1e20):
+        # astype(np.int64) would store inf and 1e20 as -2**63
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            PosteriorProblem(p, counts=np.array([bad, 3.0, 0.0]))
     with pytest.raises(ValueError):
         PosteriorProblem(ExperimentParams(D=0.0))
 
