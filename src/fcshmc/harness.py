@@ -2,13 +2,13 @@
 
 Each ``exp_*`` function takes only an :class:`ExperimentConfig`, runs one
 experiment end to end, writes timestamped CSV files plus a ``run_meta`` text
-file into the output directory, and returns its numerical results so callers
-(tests, demo scripts) can analyse them without re-parsing the CSVs.  The
-shared runner (:func:`_experiment`) owns the output directory, the stamp,
-the wall timer and ``run_meta``; each experiment body only computes and
-writes its CSVs.  Decorating an ``exp_*`` function with :func:`_experiment`
-registers it in :data:`EXPERIMENTS` with its per-experiment defaults, which
-list only the config keys the experiment reads.
+file, and returns its numerical results so callers (tests, demo scripts)
+need not re-parse the CSVs.  The shared runner (:func:`_experiment`) owns
+the output directory, the stamp, the wall timer and ``run_meta``, and
+registers the experiment in :data:`EXPERIMENTS` with its defaults, which
+list only the config keys it reads.  Experiments that compare the HMC
+schemes run each ``Scheme`` in definition order and take its proposal
+driver and one-step map from ``integrators.SCHEME_MAPS``.
 
 Reproducibility: a single seed drives everything.  Substreams are derived
 per role (data, inits, chains) and per sweep point with fixed stream ids, so
@@ -31,14 +31,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .integrators import (
-    PhaseState,
-    imex_l_steps,
-    imex_step,
-    sv_full_step,
-    sv_prior_step,
-    svex_l_steps,
-)
+from .integrators import SCHEME_MAPS, PhaseState, sv_full_step, sv_prior_step
 from .model import ExperimentParams, Simulation, _validate, sample_prior_trajectory, simulate
 from .posterior import (
     CflCertificate,
@@ -91,7 +84,7 @@ class ExperimentConfig:
     """Bundle of everything one experiment run needs.
 
     Field metadata feeds :data:`CONFIG_KEYS`: ``key`` renames the config
-    key, ``parse`` replaces the annotated type as the value parser.
+    key, ``parse`` replaces the annotated type as the parser of text values.
     """
 
     params: ExperimentParams = field(default_factory=ExperimentParams)
@@ -106,6 +99,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
+        if self.sweep is not None:
+            self.sweep = sweep_list(self.sweep)
         _validate(self, positive=("reference_h",),
                   whole=dict(thin=1, updates_per_point=1, repeats=1))
 
@@ -160,10 +155,10 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def apply_overrides(config: ExperimentConfig, mapping: dict) -> ExperimentConfig:
-    """Return config with string/typed overrides applied (file or CLI flags).
+    """Return config with overrides applied (file or CLI flags).
 
-    Unknown keys raise ValueError; values may be strings (parsed per key) or
-    already-typed Python values.
+    Unknown keys raise ValueError.  Strings are parsed per key; typed values
+    reach the records unchanged, whose checks refuse 2.5 for an integer key.
     """
     over: dict = {"params": {}, "hmc": {}, None: {}}
     for key, value in mapping.items():
@@ -172,7 +167,7 @@ def apply_overrides(config: ExperimentConfig, mapping: dict) -> ExperimentConfig
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
         section, name, parse = CONFIG_KEYS[key]
-        over[section][name] = parse(value)
+        over[section][name] = parse(value) if isinstance(value, str) else value
     config = replace(config, **over.pop(None))
     for section, changes in over.items():
         if changes:
@@ -347,7 +342,7 @@ def exp_infer(config: ExperimentConfig, write):
         warnings.warn(f"h = {h.h} exceeds certificate h_max = {cert.h_max:.4g}; "
                       "explicit chain may reject almost everything", stacklevel=3)
     chains: dict = {}
-    for offset, scheme in enumerate((Scheme.SVEX, Scheme.IMEX)):
+    for offset, scheme in enumerate(Scheme):
         hmc = replace(h, scheme=scheme)
         chain = run_chain(truth, problem, hmc, RandomStream(h.seed, _SID_CHAIN + offset))
         chains[scheme.value] = chain
@@ -487,21 +482,19 @@ def exp_efficiency(config: ExperimentConfig, write):
         raise ValueError(f"efficiency needs 3 <= L <= 1153, got L = {h0.L}")
     rows = []
     for i, h_val in enumerate(config.sweep):
-        ars = {Scheme.SVEX: [], Scheme.IMEX: []}
+        ars = {scheme: [] for scheme in Scheme}
         for j, l_val in enumerate(lengths):
             point = i * 1009 + j
             sim = simulate(RandomStream(h0.seed, _SID_SWEEP_DATA + point), p)
             problem = PosteriorProblem(p, counts=sim.counts)
-            for offset, scheme in enumerate((Scheme.SVEX, Scheme.IMEX)):
+            for offset, scheme in enumerate(Scheme):
                 hmc = replace(h0, h=float(h_val), L=l_val, scheme=scheme,
                               updates=config.updates_per_point)
                 chain = run_chain(sim.trajectory.values, problem, hmc,
                                   RandomStream(h0.seed, _SID_CHAIN + 2 * point + offset))
                 ars[scheme].append(chain.accept_rate)
-        rows.append((float(h_val),
-                     float(np.mean(ars[Scheme.SVEX])),
-                     float(np.mean(ars[Scheme.IMEX]))))
-    write(["h", "AR_svex", "AR_imex"], rows)
+        rows.append((float(h_val), *(float(np.mean(ars[scheme])) for scheme in Scheme)))
+    write(["h", *(f"AR_{scheme.value}" for scheme in Scheme)], rows)
     return dict(rows=rows), {"l_values": " ".join(str(v) for v in lengths),
                              "init": "ground_truth"}
 
@@ -510,13 +503,12 @@ def _integrate_recorded(init: PhaseState, problem: PosteriorProblem, hmc: HmcPar
                         steps: int, scheme: Scheme, track_energy: bool):
     """steps applications of the scheme's one-step map; optionally the max
     energy drift along the way.  Returns (terminal state, max |H_l - H_0|)."""
-    one = (lambda s: sv_full_step(s, problem, hmc)) if scheme is Scheme.SVEX \
-        else (lambda s: imex_step(s, problem, hmc))
+    one_step = SCHEME_MAPS[scheme][1]
     state = init
     h_ref = hamiltonian(state.q, state.p, problem, hmc) if track_energy else 0.0
     drift = 0.0
     for _ in range(steps):
-        state = one(state)
+        state = one_step(state, problem, hmc)
         if track_energy:
             h_now = hamiltonian(state.q, state.p, problem, hmc)
             err = abs(h_now - h_ref)
@@ -554,21 +546,22 @@ def exp_convergence(config: ExperimentConfig, write):
     init = _prior_draw(config)
 
     reference = {}
-    for scheme in (Scheme.SVEX, Scheme.IMEX):
+    for scheme in Scheme:
         hmc = replace(h0, h=config.reference_h, scheme=scheme)
         terminal, _ = _integrate_recorded(init, problem, hmc, l_ref, scheme, False)
         reference[scheme] = terminal.q
 
     rows = []
     for h_val, steps in zip(config.sweep, sweep_steps):
-        errs = {}
-        for scheme in (Scheme.SVEX, Scheme.IMEX):
+        q_errs, h_errs = [], []
+        for scheme in Scheme:
             hmc = replace(h0, h=float(h_val), scheme=scheme)
             terminal, drift = _integrate_recorded(init, problem, hmc, steps, scheme, True)
-            errs[scheme] = (_norm(terminal.q - reference[scheme]), drift)
-        rows.append((float(h_val), errs[Scheme.SVEX][0], errs[Scheme.IMEX][0],
-                     errs[Scheme.SVEX][1], errs[Scheme.IMEX][1]))
-    write(["h", "q_err_svex", "q_err_imex", "H_err_svex", "H_err_imex"], rows)
+            q_errs.append(_norm(terminal.q - reference[scheme]))
+            h_errs.append(drift)
+        rows.append((float(h_val), *q_errs, *h_errs))
+    columns = [f"{name}_{scheme.value}" for name in ("q_err", "H_err") for scheme in Scheme]
+    write(["h", *columns], rows)
     return dict(rows=rows), {"steps": " ".join(map(str, sweep_steps))}
 
 
@@ -592,8 +585,9 @@ def exp_complexity(config: ExperimentConfig, write):
         problem = PosteriorProblem(params, counts=sim.counts)
         p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P + idx), h0, params.node_count)
         init = PhaseState(q=sim.trajectory.values, p=p0)
-        walls = {}
-        for scheme, runner in ((Scheme.SVEX, svex_l_steps), (Scheme.IMEX, imex_l_steps)):
+        walls = []
+        for scheme in Scheme:
+            runner = SCHEME_MAPS[scheme][0]
             hmc = replace(h0, scheme=scheme)
             runner(init, problem, hmc)  # warm-up, untimed
             best = math.inf
@@ -601,10 +595,10 @@ def exp_complexity(config: ExperimentConfig, write):
                 tic = time.perf_counter()
                 runner(init, problem, hmc)
                 best = min(best, time.perf_counter() - tic)
-            walls[scheme] = best
-        rows.append((k, walls[Scheme.SVEX], walls[Scheme.IMEX]))
-    write(["K", "wall_svex_sec", "wall_imex_sec"], rows)
-    ks, svex, imex = zip(*rows)
-    return dict(rows=rows), {"timing": "integration only, operators prebuilt",
-                             "slope_svex": fit_loglog_slope(ks, svex),
-                             "slope_imex": fit_loglog_slope(ks, imex)}
+            walls.append(best)
+        rows.append((k, *walls))
+    write(["K", *(f"wall_{scheme.value}_sec" for scheme in Scheme)], rows)
+    ks, *walls = zip(*rows)
+    slopes = {f"slope_{scheme.value}": fit_loglog_slope(ks, wall)
+              for scheme, wall in zip(Scheme, walls)}
+    return dict(rows=rows), {"timing": "integration only, operators prebuilt", **slopes}

@@ -23,18 +23,19 @@ the kinetic weight, but h / m for ``svex_l_steps``: the forms round apart at
 some masses); the wrappers and ``_strang`` look up at call time the names
 the benchmark traces.
 
-``_leapfrog`` and the midpoint map copy their input state once and return the
-copies.  ``_leapfrog`` scales each fresh gradient in place and makes one
-temporary per drift; the midpoint map adds its right-hand-side terms into the
-matvec results and makes one temporary, its drift term.
+``SCHEME_MAPS``, the one table of the HMC schemes, gives each ``Scheme`` its
+L-step proposal driver and its one-step map; the experiments read both there.
+``sampler.hmc_update`` names its drivers itself, at the names the benchmark
+traces, so a new scheme is one row here and one branch there.
+
+``_leapfrog`` and the midpoint map copy their input state once, update the
+copies in place and return them, wrapped by ``_state``.
 
 A step's fixed cost, the part that does not grow with M, is kept small: at
 the small M of acceptance check 10 it is most of a step's time.  The step
 coefficients that scale arrays are 0-d float64 arrays, because numpy
 multiplies an array by one faster than by a Python float, which it converts
-on every call; the bits are the same.  The maps wrap their copies with
-``_state``, which skips ``PhaseState``'s shape check (copies of one checked
-state cannot disagree in shape) and writes the two slots directly.
+on every call; the bits are the same.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import posterior
-from .posterior import HmcParams, PosteriorProblem
+from .posterior import HmcParams, PosteriorProblem, Scheme
 from .tridiag import TridiagonalOperator, thomas_solve, tridiag_matvec
 
 __all__ = [
@@ -231,3 +232,6 @@ def svex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -
     """L leapfrog steps of the full Hamiltonian with merged half kicks
     (L+1 gradient evaluations)."""
     return _leapfrog(state, posterior.grad_v, problem, hmc.h, hmc.h / hmc.mass, hmc.L)
+
+
+SCHEME_MAPS = {Scheme.SVEX: (svex_l_steps, sv_full_step), Scheme.IMEX: (imex_l_steps, imex_step)}

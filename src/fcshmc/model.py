@@ -43,14 +43,14 @@ __all__ = [
 def _validate(record, positive, whole):
     """Raise ValueError unless each field named in ``positive`` is finite and
     > 0 and each field named in ``whole`` (a mapping name -> least value) is
-    a Python or numpy integer at or above its least value."""
+    a Python or numpy integer, not a bool, at or above its least value."""
     for name in positive:
         v = getattr(record, name)
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"{name} must be finite and > 0")
     for name, least in whole.items():
         v = getattr(record, name)
-        if not isinstance(v, (int, np.integer)) or v < least:
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < least:
             raise ValueError(f"{name} must be an integer >= {least}")
 
 

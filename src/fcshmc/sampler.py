@@ -197,9 +197,9 @@ def run_chain(
 ) -> Chain:
     """Run hmc.updates iterations of (HMC update, reflection sweep) from init.
 
-    init must be a full flat trajectory with init[0] == 0.  Rejected HMC
-    proposals leave the trajectory bit-identical; the reflection sweep then
-    acts on whatever state the update produced.
+    init must be a finite full flat trajectory with init[0] == 0.  Rejected
+    HMC proposals leave the trajectory bit-identical; the reflection sweep
+    then acts on whatever state the update produced.
     """
     init = np.asarray(init, dtype=float)
     m = problem.node_count
@@ -207,6 +207,8 @@ def run_chain(
         raise ValueError(f"init must have shape ({m},), got {init.shape}")
     if init[0] != 0.0:
         raise ValueError("init[0] must be 0 (pinned anchor)")
+    if not np.isfinite(init).all():
+        raise ValueError("init must be finite")
     j = hmc.updates
     samples = np.empty((j + 1, m))
     accepted = np.empty(j, dtype=bool)

@@ -150,6 +150,16 @@ def test_config_validation():
                 dict(repeats=1.5)):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    # typed overrides reach the records unparsed: a fraction for an integer
+    # key is refused, not truncated
+    infer = default_config("infer")
+    for bad in (dict(updates=2.5), dict(thin=2.5), dict(N=3.7), dict(L=15.0), dict(K=True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            apply_overrides(infer, bad)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        default_config("infer", seed=2.5)
+    typed = apply_overrides(infer, dict(updates=np.int64(4), N=np.int32(3), sweep=(0.1, 0.2)))
+    assert (typed.hmc.updates, typed.params.N, typed.sweep) == (4, 3, [0.1, 0.2])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

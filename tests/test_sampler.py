@@ -8,10 +8,12 @@ import pytest
 import _oracles
 import fcshmc.integrators
 import fcshmc.posterior
+import fcshmc.sampler
 from fcshmc.model import ExperimentParams, simulate, time_mesh
 from fcshmc.posterior import (
     HmcParams,
     PosteriorProblem,
+    Scheme,
     hamiltonian,
     hamiltonian_like,
     hamiltonian_prior,
@@ -121,6 +123,31 @@ def test_update_kernel_call_counts(monkeypatch):
         calls.clear()
         hmc_update(q, problem, HmcParams(h=0.01, L=L, scheme=scheme), RandomStream(3, 0))
         assert {name: calls[name] for _, name in names} == want
+
+
+def test_scheme_table_and_hmc_update_dispatch_agree(monkeypatch):
+    # the experiments take each scheme's maps from SCHEME_MAPS, hmc_update
+    # names its drivers itself: both must pair every scheme alike
+    integ = fcshmc.integrators
+    assert list(integ.SCHEME_MAPS) == list(Scheme)
+    assert integ.SCHEME_MAPS == {Scheme.SVEX: (integ.svex_l_steps, integ.sv_full_step),
+                                 Scheme.IMEX: (integ.imex_l_steps, integ.imex_step)}
+    calls = collections.Counter()
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[fn] += 1
+            return fn(*args)
+        return wrapper
+
+    for driver, _ in integ.SCHEME_MAPS.values():
+        monkeypatch.setattr(fcshmc.sampler, driver.__name__, counting(driver))
+    problem = seeded_problem()
+    q = random_q(problem, seed=4)
+    for scheme, (driver, _) in integ.SCHEME_MAPS.items():
+        calls.clear()
+        hmc_update(q, problem, HmcParams(h=0.01, L=3, scheme=scheme), RandomStream(3, 0))
+        assert calls == {driver: 1}, scheme
 
 
 # -- reflections -------------------------------------------------------------
@@ -405,6 +432,11 @@ def test_chain_shapes_and_validation():
     bad[0] = 1.0
     with pytest.raises(ValueError):
         run_chain(bad, problem, hmc, RandomStream(0, 9))
+    for value in (math.nan, math.inf):
+        bad = np.zeros(m)
+        bad[m // 2] = value
+        with pytest.raises(ValueError, match="init must be finite"):
+            run_chain(bad, problem, hmc, RandomStream(0, 9))
 
 
 def test_chain_is_reproducible():
