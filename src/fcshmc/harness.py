@@ -47,6 +47,7 @@ from .sampler import draw_momentum, run_chain
 
 __all__ = [
     "ExperimentConfig",
+    "ConfigError",
     "CONFIG_KEYS",
     "default_config",
     "read_config_file",
@@ -72,11 +73,19 @@ _SID_CHAIN = 100  # + sweep-point offset + scheme offset
 _SID_SWEEP_DATA = 10_000  # + sweep-point offset
 
 
+class ConfigError(ValueError):
+    """Config text that cannot be read: a malformed line, an unknown key, or
+    a value its key's parser refuses."""
+
+
 def sweep_list(value) -> list:
-    """Comma- or space-separated numbers, or an already-parsed sequence."""
-    if isinstance(value, str):
-        return [float(tok) for tok in value.replace(",", " ").split()]
-    return list(value)
+    """Comma- or space-separated numbers, or an already-parsed sequence;
+    an empty sweep is refused."""
+    values = ([float(tok) for tok in value.replace(",", " ").split()]
+              if isinstance(value, str) else list(value))
+    if not values:
+        raise ValueError(f"sweep needs at least one value, got {value!r}")
+    return values
 
 
 @dataclass
@@ -146,28 +155,35 @@ def read_config_file(path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
-            raise ValueError(f"{path}:{lineno}: empty key or value")
+            raise ConfigError(f"{path}:{lineno}: empty key or value")
         mapping[key] = value
     return mapping
 
 
 def apply_overrides(config: ExperimentConfig, mapping: dict) -> ExperimentConfig:
-    """Return config with overrides applied (file or CLI flags).
+    """Return config with overrides applied; None values are skipped.
 
-    Unknown keys raise ValueError.  Strings are parsed per key; typed values
-    reach the records unchanged, whose checks refuse 2.5 for an integer key.
+    Config files and CLI flags both pass their text here.  Text is parsed per
+    key; an unknown key or text the key's parser refuses raises
+    :class:`ConfigError` naming the key.  Typed values reach the records
+    unchanged, whose checks raise ValueError (e.g. for 2.5 as an integer).
     """
     over: dict = {"params": {}, "hmc": {}, None: {}}
     for key, value in mapping.items():
         if value is None:
             continue
         if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}")
         section, name, parse = CONFIG_KEYS[key]
-        over[section][name] = parse(value) if isinstance(value, str) else value
+        if isinstance(value, str):
+            try:
+                value = parse(value)
+            except ValueError as err:
+                raise ConfigError(f"{key}: {err}") from None
+        over[section][name] = value
     config = replace(config, **over.pop(None))
     for section, changes in over.items():
         if changes:
@@ -240,7 +256,7 @@ def _experiment(result_type, **defaults):
         @functools.wraps(body)
         def run(config: ExperimentConfig):
             t0 = time.perf_counter()
-            if not config.sweep:
+            if config.sweep is None:
                 config = replace(config, sweep=defaults.get("sweep"))
             stamp = _timestamp()
             paths = []
@@ -500,10 +516,10 @@ def exp_efficiency(config: ExperimentConfig, write):
 
 
 def _integrate_recorded(init: PhaseState, problem: PosteriorProblem, hmc: HmcParams,
-                        steps: int, scheme: Scheme, track_energy: bool):
-    """steps applications of the scheme's one-step map; optionally the max
+                        steps: int, track_energy: bool):
+    """steps applications of hmc.scheme's one-step map; optionally the max
     energy drift along the way.  Returns (terminal state, max |H_l - H_0|)."""
-    one_step = SCHEME_MAPS[scheme][1]
+    one_step = SCHEME_MAPS[hmc.scheme][1]
     state = init
     h_ref = hamiltonian(state.q, state.p, problem, hmc) if track_energy else 0.0
     drift = 0.0
@@ -548,7 +564,7 @@ def exp_convergence(config: ExperimentConfig, write):
     reference = {}
     for scheme in Scheme:
         hmc = replace(h0, h=config.reference_h, scheme=scheme)
-        terminal, _ = _integrate_recorded(init, problem, hmc, l_ref, scheme, False)
+        terminal, _ = _integrate_recorded(init, problem, hmc, l_ref, False)
         reference[scheme] = terminal.q
 
     rows = []
@@ -556,7 +572,7 @@ def exp_convergence(config: ExperimentConfig, write):
         q_errs, h_errs = [], []
         for scheme in Scheme:
             hmc = replace(h0, h=float(h_val), scheme=scheme)
-            terminal, drift = _integrate_recorded(init, problem, hmc, steps, scheme, True)
+            terminal, drift = _integrate_recorded(init, problem, hmc, steps, True)
             q_errs.append(_norm(terminal.q - reference[scheme]))
             h_errs.append(drift)
         rows.append((float(h_val), *q_errs, *h_errs))

@@ -14,6 +14,7 @@ from fcshmc.cli import EXIT_IO, EXIT_OK, EXIT_SETUP, EXIT_USAGE, main
 from fcshmc.harness import (
     CONFIG_KEYS,
     EXPERIMENTS,
+    ConfigError,
     ExperimentConfig,
     InferResult,
     SimulateResult,
@@ -91,7 +92,7 @@ def test_norms_of_blown_up_states_are_inf_and_silent(tmp_path, monkeypatch, valu
     # state read inf, without a RuntimeWarning
     blown = PhaseState(q=np.array([0.0, value, -value]), p=np.zeros(3))
 
-    def integrate(init, problem, hmc, steps, scheme, track_energy):
+    def integrate(init, problem, hmc, steps, track_energy):
         # the sweep runs (track_energy) end blown up; the reference runs end at init
         return (PhaseState(q=np.full_like(init.q, value), p=init.p) if track_energy
                 else init), 0.0
@@ -147,7 +148,7 @@ def test_config_validation():
     ExperimentConfig(thin=np.int64(3), updates_per_point=np.int64(3), repeats=np.int64(3))
     for bad in (dict(thin=0), dict(updates_per_point=0), dict(reference_h=0.0),
                 dict(repeats=0), dict(thin=2.5), dict(updates_per_point=2.5),
-                dict(repeats=1.5)):
+                dict(repeats=1.5), dict(sweep=[])):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
     # typed overrides reach the records unparsed: a fraction for an integer
@@ -160,6 +161,12 @@ def test_config_validation():
         default_config("infer", seed=2.5)
     typed = apply_overrides(infer, dict(updates=np.int64(4), N=np.int32(3), sweep=(0.1, 0.2)))
     assert (typed.hmc.updates, typed.params.N, typed.sweep) == (4, 3, [0.1, 0.2])
+    # an empty sweep is refused, not replaced by the experiment's default
+    with pytest.raises(ValueError, match="sweep needs at least one value"):
+        apply_overrides(infer, dict(sweep=[]))
+    for text in ("", ",", " , "):
+        with pytest.raises(ConfigError, match="^sweep: sweep needs at least one value"):
+            apply_overrides(infer, dict(sweep=text))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -205,13 +212,20 @@ def test_apply_overrides_typing_and_routing():
     # original untouched
     assert config.params.D == 500.0
     # every experiment sets its chains' scheme itself: no config key
-    with pytest.raises(ValueError, match="unknown config key"):
+    with pytest.raises(ConfigError, match="unknown config key"):
         apply_overrides(config, {"scheme": "imex"})
 
 
 def test_apply_overrides_unknown_key():
-    with pytest.raises(ValueError, match="unknown config key"):
+    with pytest.raises(ConfigError, match="unknown config key"):
         apply_overrides(default_config("simulate"), {"tau_exmo": "1"})
+
+
+@pytest.mark.parametrize("key", [key for key in CONFIG_KEYS if key != "out"])
+def test_apply_overrides_refused_text_names_the_key(key):
+    # every parser but out's (a path) refuses "x"; the error names the key
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        apply_overrides(default_config("simulate"), {key: "x"})
 
 
 def test_read_config_file(tmp_path):
@@ -226,10 +240,10 @@ def test_read_config_file(tmp_path):
     assert read_config_file(path) == {
         "D": "250.0", "scheme": "imex", "sweep": "0.02 0.04"}
     (tmp_path / "bad.cfg").write_text("D 250\n")
-    with pytest.raises(ValueError, match="expected 'key = value'"):
+    with pytest.raises(ConfigError, match="expected 'key = value'"):
         read_config_file(tmp_path / "bad.cfg")
     (tmp_path / "empty.cfg").write_text("D =\n")
-    with pytest.raises(ValueError, match="empty key or value"):
+    with pytest.raises(ConfigError, match="empty key or value"):
         read_config_file(tmp_path / "empty.cfg")
     with pytest.raises(OSError):
         read_config_file(tmp_path / "absent.cfg")
@@ -570,4 +584,25 @@ def test_cli_bad_inputs_route_to_exit_codes(tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")
     assert main(["certify", "--out", str(blocker)]) == EXIT_IO
+    capsys.readouterr()
+    # a value that does not parse is a usage error, from a file or a flag,
+    # with one message that names the key
+    bad_h = tmp_path / "bad_h.cfg"
+    bad_h.write_text("h = abc\n")
+    assert main(["certify", "--config", str(bad_h), "--out", str(tmp_path)]) == EXIT_USAGE
+    from_file = capsys.readouterr().err
+    assert from_file.startswith("fcshmc: h: ")
+    assert main(["certify", "--h", "abc", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == from_file
+    bad_seed = tmp_path / "bad_seed.cfg"
+    bad_seed.write_text("seed = 2.5\n")
+    assert main(["certify", "--config", str(bad_seed), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "seed" in capsys.readouterr().err
+    malformed = tmp_path / "malformed.cfg"
+    malformed.write_text("D 250\n")
+    assert main(["certify", "--config", str(malformed), "--out", str(tmp_path)]) == EXIT_USAGE
+    out = tmp_path / "out"
+    assert main(["stability", "--sweep", "", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert main(["certify", "--help"]) == EXIT_OK
     capsys.readouterr()
