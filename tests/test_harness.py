@@ -162,8 +162,6 @@ def test_config_validation():
     typed = apply_overrides(infer, dict(updates=np.int64(4), N=np.int32(3), sweep=(0.1, 0.2)))
     assert (typed.hmc.updates, typed.params.N, typed.sweep) == (4, 3, [0.1, 0.2])
     # an empty sweep is refused, not replaced by the experiment's default
-    with pytest.raises(ValueError, match="sweep needs at least one value"):
-        apply_overrides(infer, dict(sweep=[]))
     for text in ("", ",", " , "):
         with pytest.raises(ConfigError, match="^sweep: sweep needs at least one value"):
             apply_overrides(infer, dict(sweep=text))
