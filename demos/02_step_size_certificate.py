@@ -2,7 +2,7 @@
 
 The prior over trajectories couples neighboring nodes with strength 1/tau;
 treating the slowest exposure coupling as a harmonic oscillator of frequency
-c = sqrt(theta / (m D tau_sub)) gives the classic leapfrog bound
+c = sqrt(theta / (D tau_sub)) gives the classic leapfrog bound
 h_max = 2/c.  That logic assumes the exposure links are the stiffest ones.
 With the default timescales the *dead-time* links are stiffer
 (tau_dead < tau_sub), so the certificate overestimates the real edge —
@@ -26,7 +26,7 @@ from fcshmc import (
 from fcshmc.sampler import draw_momentum
 
 params = ExperimentParams()          # N = K = 20 benchmark setup
-hmc = HmcParams(theta=0.5, mass=1.0, h=0.1)
+hmc = HmcParams(theta=0.5, h=0.1)
 cert = cfl_certificate(params, hmc)
 print(f"surrogate frequency c        = {cert.c:.6f}")
 print(f"certified bound h_max = 2/c  = {cert.h_max:.6f}")
@@ -35,11 +35,11 @@ print(f"spectral bound on the prior  = {max_eigenvalue_bound(params):.1f} "
 
 problem = PosteriorProblem(params)   # prior only
 q0 = sample_prior_trajectory(RandomStream(0, 2), params)
-p0 = draw_momentum(RandomStream(0, 3), hmc, params.node_count)
+p0 = draw_momentum(RandomStream(0, 3), params.node_count)
 
 print("   h      max |H|/|H_0| over 100 explicit prior steps")
 for h in (0.01, 0.02, 0.04, 0.055, 0.06, 0.08, 0.134):
-    trial = HmcParams(theta=0.5, mass=1.0, h=h)
+    trial = HmcParams(theta=0.5, h=h)
     state = PhaseState(q=q0.copy(), p=p0.copy())
     h_start = hamiltonian_prior(state.q, state.p, problem, trial)
     worst = 1.0

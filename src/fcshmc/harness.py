@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import re
 import subprocess
 import time
 import warnings
@@ -147,11 +148,12 @@ def default_config(experiment: str, seed: int = 0, out_dir="runs") -> Experiment
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks ignored."""
-    mapping: dict[str, str] = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    """Parse ``key = value`` lines, blanks ignored.  '#' starts a comment at
+    the start of a line or after whitespace, so ``out = o#1`` keeps its '#';
+    a key given twice is refused."""
+    entries: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -159,8 +161,10 @@ def read_config_file(path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
-        mapping[key] = value
-    return mapping
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {entries[key][0]}")
+        entries[key] = (lineno, value)
+    return {key: value for key, (_, value) in entries.items()}
 
 
 def apply_overrides(config: ExperimentConfig, mapping: dict) -> ExperimentConfig:
@@ -429,7 +433,7 @@ def _prior_draw(config: ExperimentConfig) -> PhaseState:
     a momentum draw."""
     p, h0 = config.params, config.hmc
     q0 = sample_prior_trajectory(RandomStream(h0.seed, _SID_INIT_Q), p)
-    p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P), h0, p.node_count)
+    p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P), p.node_count)
     return PhaseState(q=q0, p=p0)
 
 
@@ -599,7 +603,7 @@ def exp_complexity(config: ExperimentConfig, write):
         params = replace(config.params, K=k)
         sim = simulate(RandomStream(h0.seed, _SID_SWEEP_DATA + idx), params)
         problem = PosteriorProblem(params, counts=sim.counts)
-        p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P + idx), h0, params.node_count)
+        p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P + idx), params.node_count)
         init = PhaseState(q=sim.trajectory.values, p=p0)
         walls = []
         for scheme in Scheme:

@@ -7,10 +7,11 @@ dimensional active phase space.
 
 Explicit maps are Stormer-Verlet (half kick, drift, half kick) against either
 the full potential, the likelihood alone, or the prior alone; the drift
-coefficient carries the kinetic split weight of the corresponding subsystem.
+coefficient is h times the kinetic split weight of the corresponding
+subsystem (1, 1 - theta or theta; momenta have unit mass).
 The prior subsystem is linear, so its implicit midpoint map reduces to two
 tridiagonal solves with a fixed matrix; ``MidpointSystem`` holds the
-prefabricated operators for one (problem, theta, mass, h), each a symmetric
+prefabricated operators for one (problem, theta, h), each a symmetric
 ``TridiagonalOperator`` with two bands (off-diagonal and diagonal).
 
 Two loops do all the stepping, each merging the adjacent half maps of
@@ -18,10 +19,9 @@ consecutive steps: ``_leapfrog`` Verlet's paired half kicks (steps + 1
 gradient evaluations), ``_strang`` the Strang composition's paired half
 midpoint maps (steps - 1 interior full midpoint steps and two boundary
 halves).  A single step has nothing to merge, so each one-step map is its
-loop at steps = 1.  Each wrapper passes its own drift coefficient (h times
-the kinetic weight, but h / m for ``svex_l_steps``: the forms round apart at
-some masses); the wrappers and ``_strang`` look up at call time the names
-the benchmark traces.
+loop at steps = 1.  Each wrapper passes its own drift coefficient; the
+wrappers and ``_strang`` look up at call time the names the benchmark
+traces.
 
 ``SCHEME_MAPS``, the one table of the HMC schemes, gives each ``Scheme`` its
 L-step proposal driver and its one-step map; the experiments read both there.
@@ -111,37 +111,35 @@ def _leapfrog(state, gradient, problem, h, drift, steps):
 
 
 def sv_full_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
-    """Verlet step for the complete Hamiltonian (kinetic weight 1/m)."""
-    return _leapfrog(state, posterior.grad_v, problem, hmc.h, hmc.h * (1.0 / hmc.mass), 1)
+    """Verlet step for the complete Hamiltonian (kinetic weight 1)."""
+    return _leapfrog(state, posterior.grad_v, problem, hmc.h, hmc.h, 1)
 
 
 def sv_likelihood_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
-    """Verlet step for the likelihood subsystem (kinetic weight (1-theta)/m)."""
-    return _leapfrog(state, posterior.grad_v_like, problem, hmc.h,
-                     hmc.h * ((1.0 - hmc.theta) / hmc.mass), 1)
+    """Verlet step for the likelihood subsystem (kinetic weight 1-theta)."""
+    return _leapfrog(state, posterior.grad_v_like, problem, hmc.h, hmc.h * (1.0 - hmc.theta), 1)
 
 
 def sv_prior_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
-    """Verlet step for the prior subsystem (kinetic weight theta/m)."""
-    return _leapfrog(state, posterior.grad_v_prior, problem, hmc.h,
-                     hmc.h * (hmc.theta / hmc.mass), 1)
+    """Verlet step for the prior subsystem (kinetic weight theta)."""
+    return _leapfrog(state, posterior.grad_v_prior, problem, hmc.h, hmc.h * hmc.theta, 1)
 
 
 @dataclass(frozen=True, eq=False)
 class MidpointSystem:
     """Precomputed operators of one implicit midpoint prior step of size h.
 
-    With alpha = theta h^2 / (8 D m) and Lap the active (anchor-free)
+    With alpha = theta h^2 / (8 D) and Lap the active (anchor-free)
     two-scale Laplacian, the step solves
 
-        (I - alpha Lap) q1 = (I + alpha Lap) q0 + (theta h / m) p0
+        (I - alpha Lap) q1 = (I + alpha Lap) q0 + (theta h) p0
         (I - alpha Lap) p1 = (I + alpha Lap) p0 + (h / 2D) Lap q0
 
     which is algebraically the implicit midpoint rule for the linear prior
     flow.  The left-hand matrix is strictly diagonally dominant (margin 1),
     so the Thomas solver needs no pivoting.
 
-    The three operators are built once per (problem, theta, mass, h) and
+    The three operators are built once per (problem, theta, h) and
     cached on the problem.  Each operator converts its bands to Python lists
     on its first use, and ``lhs`` factors itself on its first solve (see
     ``tridiag``), so a step repeats neither: it runs three O(M) matvec loops
@@ -149,7 +147,7 @@ class MidpointSystem:
     Python so that a step's cost stays proportional to M.
     """
 
-    drift_coeff: np.ndarray  # theta h / m, 0-d
+    drift_coeff: np.ndarray  # theta h, 0-d
     lhs: TridiagonalOperator
     rhs_op: TridiagonalOperator
     scaled_lap: TridiagonalOperator
@@ -157,7 +155,7 @@ class MidpointSystem:
     @classmethod
     def build(cls, problem: PosteriorProblem, hmc: HmcParams, h: float) -> "MidpointSystem":
         lap = problem.active_laplacian
-        alpha = hmc.theta * h * h / (8.0 * problem.params.D * hmc.mass)
+        alpha = hmc.theta * h * h / (8.0 * problem.params.D)
         eye = np.ones(lap.size)
         lhs = TridiagonalOperator(off=-alpha * lap.off, diag=eye - alpha * lap.diag)
         off = np.abs(lhs.off)
@@ -168,12 +166,12 @@ class MidpointSystem:
         rhs_op = TridiagonalOperator(off=alpha * lap.off, diag=eye + alpha * lap.diag)
         scale = h / (2.0 * problem.params.D)
         scaled_lap = TridiagonalOperator(off=scale * lap.off, diag=scale * lap.diag)
-        return cls(drift_coeff=np.asarray(hmc.theta * h / hmc.mass), lhs=lhs, rhs_op=rhs_op,
+        return cls(drift_coeff=np.asarray(hmc.theta * h), lhs=lhs, rhs_op=rhs_op,
                    scaled_lap=scaled_lap)
 
 
 def _midpoint_system(problem: PosteriorProblem, hmc: HmcParams, h: float) -> MidpointSystem:
-    key = ("midpoint", h, hmc.theta, hmc.mass)
+    key = ("midpoint", h, hmc.theta)
     sys = problem._cache.get(key)
     if sys is None:
         sys = MidpointSystem.build(problem, hmc, h)
@@ -231,7 +229,7 @@ def imex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -
 def svex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """L leapfrog steps of the full Hamiltonian with merged half kicks
     (L+1 gradient evaluations)."""
-    return _leapfrog(state, posterior.grad_v, problem, hmc.h, hmc.h / hmc.mass, hmc.L)
+    return _leapfrog(state, posterior.grad_v, problem, hmc.h, hmc.h, hmc.L)
 
 
 SCHEME_MAPS = {Scheme.SVEX: (svex_l_steps, sv_full_step), Scheme.IMEX: (imex_l_steps, imex_step)}

@@ -14,12 +14,14 @@ Laplacian over the mesh (couplings 1/tau_dead on dead links, 1/tau_sub on
 submesh links).  Sampling augments q with momenta p and splits the kinetic
 energy with a weight theta:
 
-    H = V_like + (1-theta) p.p/2m  +  V_prior + theta p.p/2m
+    H = V_like + (1-theta) p.p/2  +  V_prior + theta p.p/2
 
 so the two sub-Hamiltonians H_like, H_prior can be integrated by different
-schemes.  ``hamiltonian`` is computed as the sum of the two subsystem
-energies, making H == H_like + H_prior an exact identity, not just an
-algebraic one.
+schemes.  Momenta have unit mass: a scalar mass m is the step h/sqrt(m),
+since p = sqrt(m) p' maps every flow, map and energy at (m, h) onto those
+at (1, h/sqrt(m)).  ``hamiltonian`` is computed as the sum of the two
+subsystem energies, making H == H_like + H_prior an exact identity, not
+just an algebraic one.
 
 Kernels called inside the L-step drivers (``integrators.svex_l_steps`` and
 ``imex_l_steps``), that is both gradients, are plain loops for the same
@@ -99,13 +101,15 @@ class HmcParams:
     """Sampler configuration.
 
     theta splits the kinetic energy between the prior subsystem (weight
-    theta) and the likelihood subsystem (weight 1-theta); mass is the
-    momentum scale; h and L are the integrator step size and count per
-    proposal; updates is the chain length J.
+    theta) and the likelihood subsystem (weight 1-theta); h and L are the
+    integrator step size and count per proposal; updates is the chain
+    length J.  Momenta have unit mass: ``mass`` is the constant 1.0, a
+    class attribute that is neither a field nor a config key (a mass m is
+    the step h/sqrt(m)).
     """
 
+    mass = 1.0
     theta: float = 0.5
-    mass: float = 1.0
     h: float = 0.05
     L: int = 20
     scheme: Scheme = Scheme.IMEX
@@ -115,7 +119,7 @@ class HmcParams:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        _validate(self, positive=("mass", "h"), whole=dict(L=1, updates=0, seed=0))
+        _validate(self, positive=("h",), whole=dict(L=1, updates=0, seed=0))
         object.__setattr__(self, "scheme", Scheme(self.scheme))
 
 
@@ -323,21 +327,21 @@ def grad_v(q: np.ndarray, problem: PosteriorProblem) -> np.ndarray:
 # -- Hamiltonians -----------------------------------------------------------
 
 
-def _kinetic(p: np.ndarray, mass: float) -> float:
+def _kinetic(p: np.ndarray) -> float:
     # np.vdot gives np.dot's bits without its overflow warning, and costs no
     # np.errstate entry (about 1.3 us at M = 9, four times per update)
     p = np.asarray(p, dtype=float)
-    return 0.5 * float(np.vdot(p, p)) / mass
+    return 0.5 * float(np.vdot(p, p))
 
 
 def hamiltonian_like(q, p, problem: PosteriorProblem, hmc: HmcParams) -> float:
-    """Likelihood subsystem energy V_like + (1-theta) p.p/2m."""
-    return v_like(q, problem) + (1.0 - hmc.theta) * _kinetic(p, hmc.mass)
+    """Likelihood subsystem energy V_like + (1-theta) p.p/2."""
+    return v_like(q, problem) + (1.0 - hmc.theta) * _kinetic(p)
 
 
 def hamiltonian_prior(q, p, problem: PosteriorProblem, hmc: HmcParams) -> float:
-    """Prior subsystem energy V_prior + theta p.p/2m."""
-    return v_prior(q, problem) + hmc.theta * _kinetic(p, hmc.mass)
+    """Prior subsystem energy V_prior + theta p.p/2."""
+    return v_prior(q, problem) + hmc.theta * _kinetic(p)
 
 
 def hamiltonian(q, p, problem: PosteriorProblem, hmc: HmcParams) -> float:
@@ -369,7 +373,7 @@ class CflCertificate:
     """Explicit-integrator step-size certificate for the prior subsystem.
 
     c approximates the fastest oscillator frequency of the theta-weighted
-    prior subsystem as sqrt(theta / (m D tau_sub)); the Verlet stability
+    prior subsystem as sqrt(theta / (D tau_sub)); the Verlet stability
     interval then gives h_max = 2/c.  The frequency model keeps only the
     submesh coupling: when tau_sub > tau_dead the dead links oscillate
     faster than c and the certificate is optimistic (``cfl_certificate``
@@ -394,6 +398,6 @@ def cfl_certificate(params: ExperimentParams, hmc: HmcParams) -> CflCertificate:
             TimescaleOrderingWarning,
             stacklevel=2,
         )
-    c = math.sqrt(hmc.theta / (hmc.mass * params.D * params.tau_sub))
+    c = math.sqrt(hmc.theta / (params.D * params.tau_sub))
     h_max = 2.0 / c if c > 0 else math.inf
     return CflCertificate(c=c, h_max=h_max, h=hmc.h, stable=hmc.h < h_max)

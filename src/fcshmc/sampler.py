@@ -68,11 +68,11 @@ class Chain:
         return float(self.accepted.mean()) if len(self.accepted) else math.nan
 
 
-def draw_momentum(stream: RandomStream, hmc: HmcParams, node_count: int) -> np.ndarray:
-    """Gaussian momenta N(0, m) on the active slots; anchor slot fixed at 0."""
+def draw_momentum(stream: RandomStream, node_count: int) -> np.ndarray:
+    """Unit-mass momenta N(0, 1) on the active slots; anchor slot fixed at 0."""
     p = np.empty(node_count)
     p[0] = 0.0
-    p[1:] = math.sqrt(hmc.mass) * stream.standard_normals(node_count - 1)
+    p[1:] = stream.standard_normals(node_count - 1)
     return p
 
 
@@ -85,7 +85,7 @@ def hmc_update(
     certain rejection.  The uniform variate is drawn either way to keep the
     stream position independent of the outcome.
     """
-    p = draw_momentum(stream, hmc, problem.node_count)
+    p = draw_momentum(stream, problem.node_count)
     h0 = hamiltonian(q, p, problem, hmc)
     step = svex_l_steps if hmc.scheme is Scheme.SVEX else imex_l_steps
     prop = step(PhaseState(q=q, p=p), problem, hmc)

@@ -175,7 +175,7 @@ def test_criterion_06_split_scheme_energy_on_posterior_at_large_step():
     problem = PosteriorProblem(p, counts=sim.counts)
     hmc = HmcParams(h=0.2, L=100, scheme="imex", theta=0.5)
     state = PhaseState(q=sim.trajectory.values.copy(),
-                       p=draw_momentum(RandomStream(0, 3), hmc, p.node_count))
+                       p=draw_momentum(RandomStream(0, 3), p.node_count))
     h0 = hamiltonian(state.q, state.p, problem, hmc)
     ratio = 1.0
     for _ in range(hmc.L):

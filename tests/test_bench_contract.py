@@ -102,7 +102,11 @@ def test_package_surface_resolves():
                          "midpoint_prior_step", "MidpointSystem"],
         fc.integrators.MidpointSystem: ["build"],
         fc.posterior: ["v_like", "v_prior", "grad_v"],
+        fc.posterior.HmcParams(): ["mass", "theta", "h", "scheme"],
     }
     for owner, names in read_by_bench.items():
         unresolved += [name for name in names if not hasattr(owner, name)]
     assert unresolved == []
+    # bench/run.py draws its reversibility momenta and prior energies at
+    # hmc.mass; momenta have unit mass
+    assert fc.posterior.HmcParams().mass == 1.0

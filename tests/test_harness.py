@@ -182,7 +182,7 @@ def test_complexity_rejects_fractional_mesh_sizes(tmp_path, sweep):
 
 
 @pytest.mark.parametrize("argv", [
-    ["infer", "--h", "nan"], ["infer", "--h", "inf"], ["infer", "--mass", "nan"],
+    ["infer", "--h", "nan"], ["infer", "--h", "inf"],
     ["infer", "--D", "nan"], ["infer", "--tau_exp", "inf"],
     ["convergence", "--reference_h", "nan"], ["convergence", "--reference_h", "3"],
     ["convergence", "--sweep", "0"], ["convergence", "--sweep", "3"],
@@ -234,9 +234,14 @@ def test_read_config_file(tmp_path):
         "D = 250.0   # halved\n"
         "scheme = imex\n"
         "sweep = 0.02 0.04\n"
+        "  # indented comment\n"
+        "out = o#1\n"
     )
     assert read_config_file(path) == {
-        "D": "250.0", "scheme": "imex", "sweep": "0.02 0.04"}
+        "D": "250.0", "scheme": "imex", "sweep": "0.02 0.04", "out": "o#1"}
+    (tmp_path / "twice.cfg").write_text("D = 250\nK = 3\nD = 500\n")
+    with pytest.raises(ConfigError, match=r"twice.cfg:3: key 'D' repeats line 1"):
+        read_config_file(tmp_path / "twice.cfg")
     (tmp_path / "bad.cfg").write_text("D 250\n")
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         read_config_file(tmp_path / "bad.cfg")
@@ -520,6 +525,7 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main([]) == EXIT_USAGE
     assert main(["warp"]) == EXIT_USAGE
     assert main(["certify", "--h", "abc"]) == EXIT_USAGE
+    assert main(["infer", "--mass", "2"]) == EXIT_USAGE  # momenta have unit mass
     capsys.readouterr()
 
 
@@ -569,6 +575,19 @@ def test_cli_replays_run_meta(tmp_path, capsys):
     for first in (tmp_path / "a").glob("*.csv"):
         again, = (tmp_path / "b").glob(first.name.rsplit("_", 1)[0] + "_*.csv")
         assert first.read_bytes() == again.read_bytes()
+
+
+def test_cli_replays_run_meta_with_hash_in_out_dir(tmp_path, capsys, monkeypatch):
+    # run_meta writes 'out = o#1'; the replay must read the '#' as part of
+    # the value and write into o#1/, not into o/
+    monkeypatch.chdir(tmp_path)
+    assert main(["certify", "--out", "o#1"]) == EXIT_OK
+    meta, = Path("o#1").glob("run_meta_*.txt")
+    assert "out = o#1\n" in meta.read_text()
+    assert main(["certify", "--config", str(meta)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(list(Path("o#1").glob("run_meta_*.txt"))) == 2
+    assert not Path("o").exists()
 
 
 def test_cli_bad_inputs_route_to_exit_codes(tmp_path, capsys):

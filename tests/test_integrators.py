@@ -237,11 +237,11 @@ def test_maps_return_frozen_states_of_fresh_arrays():
 def test_full_step_free_flight(monkeypatch):
     problem = small_problem()
     monkeypatch.setattr(fcshmc.posterior, "grad_v", lambda q, _: np.zeros_like(q))
-    hmc = HmcParams(h=0.3, mass=2.0)
+    hmc = HmcParams(h=0.3)
     st = random_state(problem)
     out = sv_full_step(st, problem, hmc)
     expect_q = st.q.copy()
-    expect_q[1:] += (0.3 / 2.0) * st.p[1:]
+    expect_q[1:] += 0.3 * st.p[1:]
     assert np.array_equal(out.q, expect_q)
     assert np.array_equal(out.p, st.p)
 
@@ -333,17 +333,17 @@ def test_midpoint_theta_zero_only_kicks_momentum():
 
 def test_midpoint_matches_dense_linear_solve():
     problem = small_problem(n=3, k=3)
-    hmc = HmcParams(theta=0.5, mass=1.3, h=0.09)
+    hmc = HmcParams(theta=0.5, h=0.09)
     system = MidpointSystem.build(problem, hmc, hmc.h)
     st = random_state(problem, seed=7)
     out = midpoint_prior_step(st, system)
 
     lap = problem.active_laplacian.to_dense()
-    alpha = hmc.theta * hmc.h**2 / (8.0 * problem.params.D * hmc.mass)
+    alpha = hmc.theta * hmc.h**2 / (8.0 * problem.params.D)
     lhs = np.eye(len(lap)) - alpha * lap
     rhs_op = np.eye(len(lap)) + alpha * lap
     qa, pa = st.q[1:], st.p[1:]
-    q_ref = np.linalg.solve(lhs, rhs_op @ qa + (hmc.theta * hmc.h / hmc.mass) * pa)
+    q_ref = np.linalg.solve(lhs, rhs_op @ qa + (hmc.theta * hmc.h) * pa)
     p_ref = np.linalg.solve(
         lhs, rhs_op @ pa + (hmc.h / (2.0 * problem.params.D)) * (lap @ qa))
     assert np.max(np.abs(out.q[1:] - q_ref)) < 1e-12
@@ -443,34 +443,23 @@ def test_svex_single_step_is_one_verlet_step():
     assert np.array_equal(a.p, b.p)
 
 
-# sha256(q bytes + p bytes) of each public map's output, recorded before the
-# maps shared their loops.  At mass 1 the drift coefficients h / m and
-# h * (1 / m) round alike, so the golden runs cannot tell them apart; at
-# h = 0.02 they also round alike at mass 1.3 but not at 1.9.
+# sha256(q bytes + p bytes) of each public map's output at unit mass, recorded
+# while the maps still took a scalar mass.  theta = 0.3 keeps every
+# theta-dependent coefficient form (h (1 - theta), h theta, theta h and
+# theta h^2 / 8D) pinned.
 _MAP_DIGESTS = {
-    1.3: {
-        "sv_full_step": "e0a9afee66014e6b5fa822bcc7b0a381459c9d8fd3cd7625d204e6937ae377ba",
-        "sv_likelihood_step": "8d7deb3b19438fbd79998d0891a37a5919181d8011fc477819b16dc63b6643f1",
-        "sv_prior_step": "d1929a5c3157e5335ee366399d345b79f557ea48c18755f83939d54dba79b1b5",
-        "svex_l_steps": "d7879e4cf968c1c9dda1fc6b2d9358718b7eae1a55aa116089bd5d96139783b9",
-        "imex_step": "f5b60d7d1b5e42209518879b07243c29a3486b1c34077a80fa8c563ee0aabf89",
-        "imex_l_steps": "ab8345da9112e6283c481ef0304327b162d3d9e1bb3253a2da008f3cf6f79924",
-    },
-    1.9: {
-        "sv_full_step": "ab08b76e41404d05f3f15bfb2d8bc0e0bc76408dec3612fad393d096af710bc7",
-        "sv_likelihood_step": "39600e11b645cc76f8ddd5c7d1500008adc1029c22e97e7615ce93c14a45f3ba",
-        "sv_prior_step": "169c9252ce3973a421cf60cba0c7c56d1be96e27ef56576486479ed6578a01fb",
-        "svex_l_steps": "983846139faac61c4251fd68f60d62e205b0a89c38d61e00eb08038031faa41d",
-        "imex_step": "d6dc0eb6deabf7270cf72727414692f30e0aed87131aa8acce80a5e3ed95e5a5",
-        "imex_l_steps": "9eb3ef348131a7a5997daaa61d0b89e2c667019c1c06446aeff3925a6f1a6561",
-    },
+    "sv_full_step": "d2a361d9e0a011b59b6b1cbf662853a22468810de5d039d48fc3d8cc764dfa4f",
+    "sv_likelihood_step": "52a551bdc496842d0653a6a33569926ee8b55f99bbe653bacc122821032f8923",
+    "sv_prior_step": "5706d30721c4ce9d57ee2e29182e3b2d01493514e5f24d71b410ea6c95167a36",
+    "svex_l_steps": "decf144a63cfa691c330f909486128848643574614b8427068ab2987e59c9687",
+    "imex_step": "d88b8b7716587e64ad0227a3c1f0a2192e751a5f839e06b89e63d6c57180ea8c",
+    "imex_l_steps": "6bc385f06c1c1b623767fe3be3b9b20402c39f3b498d56cc261423383b98d61d",
 }
 
 
-@pytest.mark.parametrize("mass", sorted(_MAP_DIGESTS))
-def test_maps_match_digests_off_unit_mass(mass):
+def test_maps_match_digests():
     problem = small_problem(n=2, k=10)  # M = 23
-    hmc = HmcParams(h=0.02, L=5, mass=mass, theta=0.3)
+    hmc = HmcParams(h=0.02, L=5, theta=0.3)
     st = random_state(problem, seed=23)
     digests = {}
     for step in (sv_full_step, sv_likelihood_step, sv_prior_step, svex_l_steps,
@@ -478,7 +467,7 @@ def test_maps_match_digests_off_unit_mass(mass):
         out = step(st, problem, hmc)
         assert np.all(np.isfinite(out.q)) and np.all(np.isfinite(out.p))
         digests[step.__name__] = hashlib.sha256(out.q.tobytes() + out.p.tobytes()).hexdigest()
-    assert digests == _MAP_DIGESTS[mass]
+    assert digests == _MAP_DIGESTS
 
 
 def test_svex_gradient_evaluation_count(monkeypatch):

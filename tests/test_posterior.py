@@ -44,15 +44,15 @@ def test_hmc_params_validation():
     HmcParams(theta=0.0)
     HmcParams(theta=1.0)
     HmcParams(L=np.int64(3), updates=np.int64(0), seed=np.int64(3))
-    for bad in (dict(theta=-0.1), dict(theta=1.1), dict(mass=0.0), dict(h=0.0),
-                dict(L=0), dict(updates=-1), dict(L=2.5), dict(updates=2.5),
+    for bad in (dict(theta=-0.1), dict(theta=1.1), dict(h=0.0), dict(L=0),
+                dict(updates=-1), dict(L=2.5), dict(updates=2.5),
                 dict(seed=2.5), dict(seed=-1)):
         with pytest.raises(ValueError):
             HmcParams(**bad)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("field", ["mass", "h"])
+@pytest.mark.parametrize("field", ["h"])
 def test_hmc_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         HmcParams(**{field: value})
@@ -371,17 +371,17 @@ def test_hamiltonian_zero_state_equals_potential():
 def test_hamiltonian_unit_kinetic_increment():
     p = ExperimentParams(N=3, K=2)
     problem = PosteriorProblem(p, counts=np.zeros(3, dtype=int))
-    hmc = HmcParams(mass=2.5)
+    hmc = HmcParams()
     q = np.zeros(p.node_count)
     mom = np.zeros(p.node_count)
-    mom[1] = math.sqrt(2 * hmc.mass)  # p.p = 2m
+    mom[1] = math.sqrt(2.0)  # p.p = 2
     base = hamiltonian(q, np.zeros_like(mom), problem, hmc)
     assert hamiltonian(q, mom, problem, hmc) == pytest.approx(base + 1.0, rel=1e-14)
 
 
 def test_hamiltonian_split_identity_is_exact():
     problem, _ = random_problem(10, 2, 3)
-    hmc = HmcParams(theta=0.37, mass=1.7)
+    hmc = HmcParams(theta=0.37)
     q = 0.3 * RandomStream(11, 0).standard_normals(problem.node_count)
     mom = RandomStream(12, 0).standard_normals(problem.node_count)
     total = hamiltonian(q, mom, problem, hmc)
@@ -423,7 +423,7 @@ def test_bound_requires_positive_diffusion():
 
 
 def test_certificate_benchmark_values():
-    cert = cfl_certificate(ExperimentParams(K=20), HmcParams(theta=0.5, mass=1.0, h=0.1))
+    cert = cfl_certificate(ExperimentParams(K=20), HmcParams(theta=0.5, h=0.1))
     assert cert.c == pytest.approx(math.sqrt(0.5 / (500.0 * 4.5e-6)), rel=1e-12)
     assert cert.c == pytest.approx(14.907, rel=1e-4)
     assert cert.h_max == pytest.approx(0.13416, rel=1e-4)
@@ -447,10 +447,3 @@ def test_certificate_zero_theta_unconditional():
     cert = cfl_certificate(ExperimentParams(), HmcParams(theta=0.0, h=5.0))
     assert cert.h_max == math.inf
     assert cert.stable
-
-
-def test_certificate_mass_scaling():
-    p = ExperimentParams()
-    light = cfl_certificate(p, HmcParams(mass=1.0, h=0.01))
-    heavy = cfl_certificate(p, HmcParams(mass=4.0, h=0.01))
-    assert heavy.h_max == pytest.approx(2 * light.h_max, rel=1e-14)
