@@ -470,6 +470,47 @@ def test_maps_match_digests():
     assert digests == _MAP_DIGESTS
 
 
+# (q . w, p . w) with w = (1, ..., M) of each public map's output at h = 0.02
+# and a scalar mass m, recorded while the maps still took one (same problem,
+# state, theta and L as the digests above).
+_MASS_MAP_SUMS = {
+    1.3: {
+        "sv_full_step": (-5.650906273713461, -179.51819444219456),
+        "sv_likelihood_step": (-4.841684830424281, -183.69886372968477),
+        "sv_prior_step": (-3.7065052476999183, -179.31221100304657),
+        "svex_l_steps": (-16.53836892965701, -181.6696774097911),
+        "imex_step": (-5.651255904580835, -179.47439607322423),
+        "imex_l_steps": (-16.535489840602022, -181.45136261942574),
+    },
+    1.9: {
+        "sv_full_step": (-4.773724204353435, -179.42271303700724),
+        "sv_likelihood_step": (-4.220046374734523, -183.69664127047204),
+        "sv_prior_step": (-3.4433445549757478, -179.2844019260433),
+        "svex_l_steps": (-12.150027248901635, -178.5290617507659),
+        "imex_step": (-4.773888639864908, -179.39359000200636),
+        "imex_l_steps": (-12.150843312789181, -178.30092963428112),
+    },
+}
+
+
+@pytest.mark.parametrize("mass", sorted(_MASS_MAP_SUMS))
+def test_maps_match_digests_off_unit_mass(mass):
+    # a mass m is the step h / sqrt(m): the unit-mass maps at that step, on
+    # momenta p / sqrt(m) and with sqrt(m) times their output momenta, give
+    # the maps the mass-m code gave, to rounding
+    problem = small_problem(n=2, k=10)  # M = 23
+    scale = np.sqrt(mass)
+    hmc = HmcParams(h=0.02 / scale, L=5, theta=0.3)
+    st = random_state(problem, seed=23)
+    st = PhaseState(q=st.q, p=st.p / scale)
+    w = np.arange(1.0, problem.node_count + 1)
+    for step in (sv_full_step, sv_likelihood_step, sv_prior_step, svex_l_steps,
+                 imex_step, imex_l_steps):
+        out = step(st, problem, hmc)
+        sums = (float(out.q @ w), float(scale * out.p @ w))
+        assert sums == pytest.approx(_MASS_MAP_SUMS[mass][step.__name__], rel=1e-13), step
+
+
 def test_svex_gradient_evaluation_count(monkeypatch):
     # one update's calls through every name the benchmark's tracer patches
     # below the drivers; the traced calls_per_update read these counts
