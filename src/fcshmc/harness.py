@@ -42,6 +42,7 @@ from .posterior import (
     cfl_certificate,
     hamiltonian,
     hamiltonian_prior,
+    verlet_step_bound,
 )
 from .rng import RandomStream
 from .sampler import draw_momentum, run_chain
@@ -72,6 +73,10 @@ _SID_INIT_Q = 2
 _SID_INIT_P = 3
 _SID_CHAIN = 100  # + sweep-point offset + scheme offset
 _SID_SWEEP_DATA = 10_000  # + sweep-point offset
+
+
+# where a config line's comment starts: '#' at the start or after whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 class ConfigError(ValueError):
@@ -109,6 +114,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
+        if _COMMENT.search(str(self.out_dir)):
+            raise ValueError(f"out '{self.out_dir}' holds a '#' that config files read "
+                             "as a comment (at the start or after whitespace)")
         if self.sweep is not None:
             self.sweep = sweep_list(self.sweep)
         _validate(self, positive=("reference_h",),
@@ -153,7 +161,7 @@ def read_config_file(path) -> dict[str, str]:
     a key given twice is refused."""
     entries: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -349,17 +357,18 @@ def exp_infer(config: ExperimentConfig, write):
 
     Chains start at the ground-truth trajectory (no burn-in analysis here;
     the point of the experiment is posterior spread, not convergence from a
-    cold start).  If the certificate flags the requested h as unstable for
-    the explicit scheme the run warns and proceeds; expect rejections.
+    cold start).  If h is at or above the explicit chain's Verlet bound
+    (``verlet_step_bound`` at kinetic weight 1) the run warns and proceeds;
+    expect rejections.
     """
     p, h = config.params, config.hmc
     sim = simulate(RandomStream(h.seed, _SID_DATA), p)
     problem = PosteriorProblem(p, counts=sim.counts)
     truth = sim.trajectory.values
     _write_data(write, sim, p, "truth")
-    cert = cfl_certificate(p, h)
-    if not cert.stable:
-        warnings.warn(f"h = {h.h} exceeds certificate h_max = {cert.h_max:.4g}; "
+    h_bound = verlet_step_bound(p, 1.0)
+    if h.h >= h_bound:
+        warnings.warn(f"h = {h.h} is at or above the explicit step bound {h_bound:.4g}; "
                       "explicit chain may reject almost everything", stacklevel=3)
     chains: dict = {}
     for offset, scheme in enumerate(Scheme):
@@ -374,7 +383,7 @@ def exp_infer(config: ExperimentConfig, write):
         write(["step", "node_index", "q_um"],
               ((s, i, chain.samples[s, i]) for s in steps for i in range(p.node_count)),
               "samples", scheme.value)
-    return dict(simulation=sim, chains=chains), {"init": "ground_truth", "h_max": cert.h_max}
+    return dict(simulation=sim, chains=chains), {"init": "ground_truth", "h_bound": h_bound}
 
 
 @dataclass(frozen=True)
@@ -386,20 +395,16 @@ class CertifyResult:
 
 @_experiment(CertifyResult)
 def exp_certify(config: ExperimentConfig, write):
-    """Evaluate the explicit-scheme step-size certificate for this config."""
-    p = config.params
-    cert = cfl_certificate(p, config.hmc)
+    """Evaluate the explicit-scheme step certificate and Verlet bounds for this config."""
+    p, h = config.params, config.hmc
+    cert = cfl_certificate(p, h)
     lines = [
         f"surrogate oscillator frequency c = {cert.c:.6g}",
         f"certified step bound h_max = 2/c = {cert.h_max:.6g}",
         f"requested step h = {cert.h:.6g} -> {'stable' if cert.stable else 'UNSTABLE'}",
+        f"Verlet step bound h_bound = {verlet_step_bound(p, h.theta):.6g} (prior, weight "
+        f"theta), {verlet_step_bound(p, 1.0):.6g} (explicit chain, weight 1)",
     ]
-    if p.tau_sub > p.tau_dead:
-        lines.append(
-            f"note: tau_sub = {p.tau_sub:.3g} > tau_dead = {p.tau_dead:.3g}; the "
-            "dead-link modes are faster than the surrogate frequency, so the "
-            "bound above can overestimate the observed stability threshold"
-        )
     write(["c", "h_max", "h", "stable"], [(cert.c, cert.h_max, cert.h, int(cert.stable))])
     return dict(certificate=cert, report="\n".join(lines)), {}
 

@@ -29,7 +29,6 @@ __all__ = [
     "TimeMesh",
     "Trajectory",
     "Simulation",
-    "TimescaleOrderingWarning",
     "psf",
     "intensity",
     "time_mesh",
@@ -52,18 +51,6 @@ def _validate(record, positive, whole):
         v = getattr(record, name)
         if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < least:
             raise ValueError(f"{name} must be an integer >= {least}")
-
-
-class TimescaleOrderingWarning(UserWarning):
-    """Submesh spacing is coarser than the dead gap.
-
-    The stability certificate models the fastest prior oscillation with the
-    submesh coupling 1/tau_sub.  When tau_sub > tau_dead the stiffest link
-    in the prior chain is the dead-time link, whose coupling 1/tau_dead the
-    certificate does not see, so the certificate step bound can be optimistic.
-    ``posterior.cfl_certificate`` warns when it certifies such params; the
-    params themselves are valid and build silently.
-    """
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,12 @@ and prior coefficients as read-only arrays.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .model import ExperimentParams, TimescaleOrderingWarning, _validate, time_mesh
+from .model import ExperimentParams, _validate, time_mesh
 from .tridiag import _F64, TridiagonalOperator, _shared_floats
 
 __all__ = [
@@ -80,6 +79,7 @@ __all__ = [
     "hamiltonian_prior",
     "exposure_block_eigenvalues",
     "max_eigenvalue_bound",
+    "verlet_step_bound",
     "cfl_certificate",
 ]
 
@@ -368,16 +368,22 @@ def max_eigenvalue_bound(params: ExperimentParams) -> float:
     return 1.0 / (params.D * params.tau_dead) + 2.0 / (params.D * params.tau_sub)
 
 
+def verlet_step_bound(params: ExperimentParams, weight: float) -> float:
+    """Step below which explicit Stormer-Verlet on the prior with kinetic
+    weight ``weight`` is stable: h omega < 2 with omega^2 = weight times
+    ``max_eigenvalue_bound(params)``.  inf at weight 0."""
+    lam = weight * max_eigenvalue_bound(params)
+    return 2.0 / math.sqrt(lam) if lam > 0 else math.inf
+
+
 @dataclass(frozen=True)
 class CflCertificate:
-    """Explicit-integrator step-size certificate for the prior subsystem.
+    """The single-frequency step certificate for the prior subsystem.
 
-    c approximates the fastest oscillator frequency of the theta-weighted
-    prior subsystem as sqrt(theta / (D tau_sub)); the Verlet stability
-    interval then gives h_max = 2/c.  The frequency model keeps only the
-    submesh coupling: when tau_sub > tau_dead the dead links oscillate
-    faster than c and the certificate is optimistic (``cfl_certificate``
-    then warns with a TimescaleOrderingWarning).
+    c = sqrt(theta / (D tau_sub)) is the frequency of the theta-weighted
+    submesh coupling alone, and h_max = 2/c (acceptance check 5 pins it).
+    It leaves out the dead links, so it can overstate the explicit edge;
+    ``verlet_step_bound`` is the bound that holds on every mesh.
     """
 
     c: float
@@ -389,15 +395,6 @@ class CflCertificate:
 def cfl_certificate(params: ExperimentParams, hmc: HmcParams) -> CflCertificate:
     if params.D <= 0:
         raise ValueError("certificate requires D > 0")
-    if params.tau_sub > params.tau_dead:
-        warnings.warn(
-            f"tau_sub = tau_exp/K = {params.tau_sub:.3g} s exceeds tau_dead = "
-            f"{params.tau_dead:.3g} s; the dead-time link is then the stiffest "
-            "coupling in the prior and the CFL certificate may understate "
-            "the fastest mode (see CflCertificate docs)",
-            TimescaleOrderingWarning,
-            stacklevel=2,
-        )
     c = math.sqrt(hmc.theta / (params.D * params.tau_sub))
     h_max = 2.0 / c if c > 0 else math.inf
     return CflCertificate(c=c, h_max=h_max, h=hmc.h, stable=hmc.h < h_max)

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import math
@@ -35,7 +36,7 @@ from fcshmc.harness import (
 )
 from fcshmc.integrators import MidpointSystem, PhaseState
 from fcshmc.model import ExperimentParams, simulate
-from fcshmc.posterior import HmcParams, PosteriorProblem, cfl_certificate
+from fcshmc.posterior import HmcParams, PosteriorProblem, cfl_certificate, verlet_step_bound
 from fcshmc.rng import RandomStream
 from fcshmc.sampler import HmcMove, run_chain
 
@@ -283,8 +284,8 @@ def test_certify_report_and_csv(tmp_path):
     assert "14.9071" in result.report
     assert f"{cert.h_max:.6g}" in result.report
     assert "stable" in result.report
-    # benchmark timescales are inverted, so the honest caveat must show up
-    assert "overestimate" in result.report
+    assert ("Verlet step bound h_bound = 0.0526235 (prior, weight theta), "
+            "0.0372104 (explicit chain, weight 1)") in result.report.splitlines()
     header, rows = read_rows(result.paths[0])
     assert header == ["c", "h_max", "h", "stable"]
     assert float(rows[0][0]) == pytest.approx(cert.c, rel=1e-12)
@@ -390,13 +391,15 @@ def test_infer_writes_chains_and_samples(tmp_path):
     assert len(rows) == 3
 
 
-def test_infer_warns_above_certificate(tmp_path):
-    config = small_config("infer", tmp_path, h=0.5, L=5, updates=3)
-    h_max = cfl_certificate(config.params, config.hmc).h_max
-    assert h_max < 0.5
-    with pytest.warns(UserWarning, match="exceeds certificate"):
+def test_infer_warns_at_the_verlet_step_bound(tmp_path):
+    # the explicit chain runs at kinetic weight 1: 0.05 is past its bound,
+    # though the theta-weighted certificate would pass it
+    config = small_config("infer", tmp_path, h=0.05, L=5, updates=3)
+    h_bound = verlet_step_bound(config.params, 1.0)
+    assert h_bound < 0.05 < cfl_certificate(config.params, config.hmc).h_max
+    with pytest.warns(UserWarning, match="explicit step bound"):
         result = exp_infer(config)
-    assert f"# h_max = {h_max}" in result.paths[-1].read_text().splitlines()
+    assert f"# h_bound = {h_bound}" in result.paths[-1].read_text().splitlines()
 
 
 def test_run_meta_records_the_sweep_that_ran(tmp_path):
@@ -470,8 +473,12 @@ def test_every_registered_default_changes_the_output(tmp_path, name):
         section, field_name, _ = CONFIG_KEYS[key]
         value = getattr(getattr(config, section) if section else config, field_name)
         other = value[:1] if isinstance(value, list) else 2 * value
-        changed = EXPERIMENTS[name](apply_overrides(
-            replace(config, out_dir=tmp_path / key), {key: other}))
+        # infer's doubled h, 0.06, is past the explicit step bound 0.0433 at K = 3
+        warns = (pytest.warns(UserWarning, match="explicit step bound")
+                 if (name, key) == ("infer", "h") else contextlib.nullcontext())
+        with warns:
+            changed = EXPERIMENTS[name](apply_overrides(
+                replace(config, out_dir=tmp_path / key), {key: other}))
         if not set(csv_digests(changed).items()) - set(baseline.items()):
             unread.append(key)
     assert unread == []
@@ -537,12 +544,13 @@ def test_cli_certify_reports(tmp_path, capsys):
     assert any(tmp_path.glob("certify_*.csv"))
 
 
-@pytest.mark.filterwarnings("error::fcshmc.model.TimescaleOrderingWarning")
-def test_cli_certify_warns_only_for_the_run_params(tmp_path, capsys):
-    # K = 100 gives tau_sub = 9e-7 s < tau_dead: the timescale warning must
-    # not fire for the default K = 20 the overrides replace
+def test_cli_certify_reports_the_run_params_bound(tmp_path, capsys):
+    # the bound is computed from the run's K = 100, not the default K = 20
     assert main(["certify", "--K", "100", "--out", str(tmp_path)]) == EXIT_OK
-    assert "note:" not in capsys.readouterr().out
+    report = capsys.readouterr()
+    assert report.err == ""
+    assert "h_bound = 0.0352332 (prior" in report.out
+    assert "0.0526235" not in report.out
 
 
 def test_cli_simulate_seed_determinism(tmp_path, capsys):
@@ -588,6 +596,18 @@ def test_cli_replays_run_meta_with_hash_in_out_dir(tmp_path, capsys, monkeypatch
     capsys.readouterr()
     assert len(list(Path("o#1").glob("run_meta_*.txt"))) == 2
     assert not Path("o").exists()
+
+
+@pytest.mark.parametrize("out", ["o #1", "#x"])
+def test_cli_refuses_out_that_config_files_cut(tmp_path, capsys, monkeypatch, out):
+    # a '#' at the start or after whitespace would start a comment in the
+    # run_meta replay, so the run is refused before any file is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["certify", "--out", out]) == EXIT_SETUP
+    assert "out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match="comment"):
+        ExperimentConfig(out_dir=out)
 
 
 def test_cli_bad_inputs_route_to_exit_codes(tmp_path, capsys):

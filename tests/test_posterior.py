@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 import _oracles
 from _oracles import central_diff_grad, dense_neumann_block, dense_two_scale_laplacian
 from fcshmc import posterior
-from fcshmc.model import ExperimentParams, TimescaleOrderingWarning, signal, simulate, time_mesh
+from fcshmc.harness import apply_overrides, default_config, exp_stability
+from fcshmc.model import ExperimentParams, signal, simulate, time_mesh
 from fcshmc.posterior import (
     HmcParams,
     PosteriorProblem,
@@ -27,6 +29,7 @@ from fcshmc.posterior import (
     max_eigenvalue_bound,
     v_like,
     v_prior,
+    verlet_step_bound,
 )
 from fcshmc.rng import RandomStream
 
@@ -420,6 +423,26 @@ def test_bound_dominates_dense_spectrum():
 def test_bound_requires_positive_diffusion():
     with pytest.raises(ValueError):
         max_eigenvalue_bound(ExperimentParams(D=0.0))
+    with pytest.raises(ValueError):
+        verlet_step_bound(ExperimentParams(D=0.0), 0.5)
+
+
+def test_verlet_step_bound_values():
+    p = ExperimentParams()
+    assert verlet_step_bound(p, 0.5) == 2.0 / math.sqrt(0.5 * max_eigenvalue_bound(p))
+    assert verlet_step_bound(p, 0.5) == pytest.approx(0.0526235, rel=1e-6)
+    assert verlet_step_bound(p, 1.0) == pytest.approx(0.0372104, rel=1e-6)
+    assert verlet_step_bound(p, 0.0) == math.inf
+
+
+@pytest.mark.parametrize("mesh", [{}, {"K": 100}, {"tau_dead": 1e-5}])
+def test_prior_stable_just_below_verlet_step_bound(tmp_path, mesh):
+    # the exact edges 2/sqrt(theta lambda_max) are 0.0596, 0.0424 and 0.0951
+    config = apply_overrides(default_config("stability", seed=0, out_dir=tmp_path), mesh)
+    h = 0.99 * verlet_step_bound(config.params, config.hmc.theta)
+    energies = np.array(exp_stability(replace(config, sweep=[h])).rows)[:, 5]
+    assert np.all(np.isfinite(energies))
+    assert np.max(np.abs(energies)) / abs(energies[0]) < 10.0
 
 
 def test_certificate_benchmark_values():
@@ -429,18 +452,9 @@ def test_certificate_benchmark_values():
     assert cert.h_max == pytest.approx(0.13416, rel=1e-4)
     assert cert.stable
     assert not cfl_certificate(ExperimentParams(K=20), HmcParams(h=0.2)).stable
-
-
-def test_coarse_submesh_warns():
-    # default table: tau_sub = 4.5e-6 > tau_dead = 1e-6, so the certificate's
-    # single-frequency surrogate misses the stiffer dead links
-    with pytest.warns(TimescaleOrderingWarning, match="tau_sub = tau_exp/K") as record:
-        cfl_certificate(ExperimentParams(), HmcParams())
-    assert record[0].filename == __file__  # points at the caller
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # tau_sub <= tau_dead: silent
-        cfl_certificate(ExperimentParams(tau_dead=1e-3), HmcParams())
+        cfl_certificate(ExperimentParams(), HmcParams())  # no side effect
 
 
 def test_certificate_zero_theta_unconditional():
