@@ -13,7 +13,7 @@ from fcshmc import ExperimentParams, RandomStream, simulate
 params = ExperimentParams(N=12, K=20)
 sim = simulate(RandomStream(0, 1), params)
 
-q = sim.trajectory.values
+q = sim.trajectory
 print(f"mesh: {params.N} windows x {params.K} sub-steps -> {params.node_count} nodes")
 print(f"sub-step {params.tau_sub:.2e} s, dead time {params.tau_dead:.2e} s")
 print(f"latent path: start {q[0]:+.3f} um, end {q[-1]:+.3f} um, "

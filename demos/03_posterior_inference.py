@@ -17,7 +17,7 @@ result = exp_infer(config)
 
 p = config.params
 counts = result.simulation.counts
-truth = result.simulation.trajectory.values
+truth = result.simulation.trajectory
 
 print(f"data: {p.N} windows, counts {counts.tolist()}\n")
 for scheme, chain in result.chains.items():

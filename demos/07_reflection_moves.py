@@ -24,14 +24,14 @@ problem = PosteriorProblem(params, counts=sim.counts)
 mid = params.node_count // 2
 
 hmc = HmcParams(h=0.03, L=10, updates=2000, scheme="imex", seed=0)
-chain = run_chain(sim.trajectory.values, problem, hmc, RandomStream(3, 100))
+chain = run_chain(sim.trajectory, problem, hmc, RandomStream(3, 100))
 post = chain.samples[200:]
 
 sign_flips = int(np.sum(np.sign(post[1:, mid]) != np.sign(post[:-1, mid])))
 print(f"counts: {sim.counts.tolist()}")
 print(f"acceptance {chain.accept_rate:.2f}, "
       f"{chain.reflect_accepts} reflection moves accepted")
-print(f"node {mid}: true q = {sim.trajectory.values[mid]:+.3f} um")
+print(f"node {mid}: true q = {sim.trajectory[mid]:+.3f} um")
 print(f"posterior mean of q   = {post[:, mid].mean():+.3f} um  "
       "(~0: both mirror modes visited)")
 print(f"posterior mean of |q| = {np.abs(post[:, mid]).mean():.3f} um  "

@@ -114,9 +114,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
-        if _COMMENT.search(str(self.out_dir)):
-            raise ValueError(f"out '{self.out_dir}' holds a '#' that config files read "
-                             "as a comment (at the start or after whitespace)")
+        text = str(self.out_dir)
+        if _COMMENT.split(text, maxsplit=1)[0].strip() != text:
+            raise ValueError(f"out {text!r} would not survive a config file, which strips "
+                             "values and cuts a comment at a '#' at the start or after "
+                             "whitespace")
         if self.sweep is not None:
             self.sweep = sweep_list(self.sweep)
         _validate(self, positive=("reference_h",),
@@ -328,12 +330,12 @@ class SimulateResult:
 
 def _write_data(write, sim: Simulation, params: ExperimentParams, trajectory_tag: str) -> None:
     """The counts CSV and the latent-trajectory CSV of one data set."""
-    mesh = sim.trajectory.mesh
+    mesh = sim.mesh
     window_end = mesh.times[(params.K + 1) * np.arange(1, params.N + 1)]
     write(["n", "t_n", "u_n", "w_n"],
           zip(range(1, params.N + 1), window_end, sim.signal, sim.counts), "counts")
     write(["node_index", "time_sec", "q_um"],
-          zip(range(params.node_count), mesh.times, sim.trajectory.values), trajectory_tag)
+          zip(range(params.node_count), mesh.times, sim.trajectory), trajectory_tag)
 
 
 @_experiment(SimulateResult)
@@ -364,7 +366,7 @@ def exp_infer(config: ExperimentConfig, write):
     p, h = config.params, config.hmc
     sim = simulate(RandomStream(h.seed, _SID_DATA), p)
     problem = PosteriorProblem(p, counts=sim.counts)
-    truth = sim.trajectory.values
+    truth = sim.trajectory
     _write_data(write, sim, p, "truth")
     h_bound = verlet_step_bound(p, 1.0)
     if h.h >= h_bound:
@@ -515,7 +517,7 @@ def exp_efficiency(config: ExperimentConfig, write):
             for offset, scheme in enumerate(Scheme):
                 hmc = replace(h0, h=float(h_val), L=l_val, scheme=scheme,
                               updates=config.updates_per_point)
-                chain = run_chain(sim.trajectory.values, problem, hmc,
+                chain = run_chain(sim.trajectory, problem, hmc,
                                   RandomStream(h0.seed, _SID_CHAIN + 2 * point + offset))
                 ars[scheme].append(chain.accept_rate)
         rows.append((float(h_val), *(float(np.mean(ars[scheme])) for scheme in Scheme)))
@@ -609,7 +611,7 @@ def exp_complexity(config: ExperimentConfig, write):
         sim = simulate(RandomStream(h0.seed, _SID_SWEEP_DATA + idx), params)
         problem = PosteriorProblem(params, counts=sim.counts)
         p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P + idx), params.node_count)
-        init = PhaseState(q=sim.trajectory.values, p=p0)
+        init = PhaseState(q=sim.trajectory, p=p0)
         walls = []
         for scheme in Scheme:
             runner = SCHEME_MAPS[scheme][0]

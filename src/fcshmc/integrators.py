@@ -46,7 +46,7 @@ import numpy as np
 
 from . import posterior
 from .posterior import HmcParams, PosteriorProblem, Scheme
-from .tridiag import TridiagonalOperator, thomas_solve, tridiag_matvec
+from .tridiag import SingularSystemError, TridiagonalOperator, thomas_solve, tridiag_matvec
 
 __all__ = [
     "PhaseState",
@@ -137,7 +137,8 @@ class MidpointSystem:
 
     which is algebraically the implicit midpoint rule for the linear prior
     flow.  The left-hand matrix is strictly diagonally dominant (margin 1),
-    so the Thomas solver needs no pivoting.
+    so the Thomas solver needs no pivoting.  At a step so large that the
+    margin rounds away, ``build`` raises ``SingularSystemError``.
 
     The three operators are built once per (problem, theta, h) and
     cached on the problem.  Each operator converts its bands to Python lists
@@ -162,7 +163,8 @@ class MidpointSystem:
         row_off = np.zeros(lap.size)
         row_off[1:] += off
         row_off[:-1] += off
-        assert np.all(np.abs(lhs.diag) > row_off), "midpoint matrix lost diagonal dominance"
+        if not np.all(np.abs(lhs.diag) > row_off):
+            raise SingularSystemError(f"midpoint matrix at step h = {h:g} lost diagonal dominance")
         rhs_op = TridiagonalOperator(off=alpha * lap.off, diag=eye + alpha * lap.diag)
         scale = h / (2.0 * problem.params.D)
         scaled_lap = TridiagonalOperator(off=scale * lap.off, diag=scale * lap.diag)

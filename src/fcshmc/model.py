@@ -27,7 +27,6 @@ from .rng import RandomStream
 __all__ = [
     "ExperimentParams",
     "TimeMesh",
-    "Trajectory",
     "Simulation",
     "psf",
     "intensity",
@@ -110,18 +109,12 @@ class TimeMesh:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Molecule positions (um) at the mesh nodes."""
-
-    values: np.ndarray
-    mesh: TimeMesh
-
-
-@dataclass(frozen=True, eq=False)
 class Simulation:
-    """One synthetic data set: latent trajectory, window signal, counts."""
+    """One synthetic data set: the latent trajectory (molecule positions, um,
+    at the nodes of ``mesh``), the window signal and the counts."""
 
-    trajectory: Trajectory
+    trajectory: np.ndarray
+    mesh: TimeMesh
     signal: np.ndarray
     counts: np.ndarray
 
@@ -173,12 +166,10 @@ def sample_prior_trajectory(stream: RandomStream, params: ExperimentParams) -> n
 
 
 def sample_measurements(stream: RandomStream, u: np.ndarray) -> np.ndarray:
-    """Poisson counts around the window signal u (all entries must be > 0)."""
-    u = np.asarray(u, dtype=float)
-    if u.size == 0:
+    """Poisson counts around the window signal u (all entries must be > 0;
+    ``RandomStream.poissons`` checks them)."""
+    if np.size(u) == 0:
         raise ValueError("signal must be non-empty")
-    if u.min() <= 0:
-        raise ValueError("signal entries must be > 0 for Poisson sampling")
     return stream.poissons(u)
 
 
@@ -191,8 +182,4 @@ def simulate(stream: RandomStream, params: ExperimentParams) -> Simulation:
     q = sample_prior_trajectory(stream, params)
     u = signal(q, params)
     w = sample_measurements(stream, u)
-    return Simulation(
-        trajectory=Trajectory(values=q, mesh=time_mesh(params)),
-        signal=u,
-        counts=w,
-    )
+    return Simulation(trajectory=q, mesh=time_mesh(params), signal=u, counts=w)

@@ -188,15 +188,14 @@ class PosteriorProblem:
             if not np.all((w >= 0) & (w < 2**63) & (w == np.floor(w))):
                 raise ValueError("counts must be nonnegative integers")
             self.counts = w.astype(np.int64)
-        link = time_mesh(p).link_tau
-        lap = _path_laplacian(1.0 / link)
+        lap = build_laplacian(p)
         # Row/column 0 removed: q_0 is pinned at zero and is not a sampling
         # degree of freedom, so implicit solves act on the remaining M-1.
         self.active_laplacian = TridiagonalOperator(off=lap.off[1:], diag=lap.diag[1:])
         # the gradient loop's couplings repeat two values, so equal entries
         # share one float object
         self._s = _shared_floats(lap.off)
-        self._tau = link
+        self._tau = link = time_mesh(p).link_tau
         self._vp_coef = 1.0 / (4.0 * p.D * link)
         link.setflags(write=False)
         self._vp_coef.setflags(write=False)

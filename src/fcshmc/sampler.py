@@ -31,7 +31,6 @@ from .posterior import HmcParams, PosteriorProblem, Scheme, hamiltonian
 from .rng import RandomStream
 
 __all__ = [
-    "HmcMove",
     "Chain",
     "draw_momentum",
     "hmc_update",
@@ -41,16 +40,6 @@ __all__ = [
     "reflection_update",
     "run_chain",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class HmcMove:
-    """Outcome of one HMC update."""
-
-    q: np.ndarray
-    accepted: bool
-    h_before: float
-    h_after: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +67,10 @@ def draw_momentum(stream: RandomStream, node_count: int) -> np.ndarray:
 
 def hmc_update(
     q: np.ndarray, problem: PosteriorProblem, hmc: HmcParams, stream: RandomStream
-) -> HmcMove:
-    """One Metropolis-corrected HMC proposal from q.
+) -> tuple[np.ndarray, bool, float, float]:
+    """One Metropolis-corrected HMC proposal from q; returns
+    (q, accepted, h_before, h_after), the total energies before and after
+    the integrator run.  On rejection the returned q is the input object.
 
     A non-finite proposal energy (integrator blow-up) is treated as a
     certain rejection.  The uniform variate is drawn either way to keep the
@@ -95,7 +86,7 @@ def hmc_update(
     if math.isfinite(h1):
         dh = h1 - h0
         accepted = dh <= 0.0 or u < math.exp(-dh)
-    return HmcMove(q=prop.q if accepted else q, accepted=accepted, h_before=h0, h_after=h1)
+    return (prop.q if accepted else q), accepted, h0, h1
 
 
 def _flat_index(params: ExperimentParams, n: int, k: int) -> int:
@@ -218,14 +209,10 @@ def run_chain(
     q = init.copy()
     samples[0] = q
     for it in range(j):
-        move = hmc_update(q, problem, hmc, stream)
-        q = move.q
+        q, accepted[it], h_before[it], h_after[it] = hmc_update(q, problem, hmc, stream)
         q, n_acc = reflection_update(q, problem, stream)
         reflect_accepts += n_acc
         samples[it + 1] = q
-        accepted[it] = move.accepted
-        h_before[it] = move.h_before
-        h_after[it] = move.h_after
     return Chain(
         samples=samples,
         accepted=accepted,

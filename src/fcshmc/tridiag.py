@@ -82,12 +82,13 @@ class TridiagonalOperator:
     @cached_property
     def _factors(self) -> tuple[list, list, list]:
         """(off, pivots, eliminated superdiagonal) as lists for the solve
-        loops: the Thomas factorization, without pivoting.
+        loops: the Thomas factorization, without pivoting, of ``_bands``;
+        the off-diagonal list is ``_bands``' own.
 
         A zero pivot raises SingularSystemError, and nothing is cached, so
         every solve with a singular operator raises.
         """
-        a, b = self.off.tolist(), self.diag.tolist()
+        a, b = self._bands
         n = self.size
         piv = [0.0] * n
         cp = [0.0] * n
@@ -103,7 +104,7 @@ class TridiagonalOperator:
             piv[i] = pivot
             if i < n - 1:
                 cp[i] = a[i] / pivot
-        return _shared_floats(self.off), _shared_floats(piv), _shared_floats(cp)
+        return a, _shared_floats(piv), _shared_floats(cp)
 
     def to_dense(self) -> np.ndarray:
         """Dense copy, for tests and small-system diagnostics."""

@@ -174,7 +174,7 @@ def test_criterion_06_split_scheme_energy_on_posterior_at_large_step():
     sim = simulate(RandomStream(0, 1), p)
     problem = PosteriorProblem(p, counts=sim.counts)
     hmc = HmcParams(h=0.2, L=100, scheme="imex", theta=0.5)
-    state = PhaseState(q=sim.trajectory.values.copy(),
+    state = PhaseState(q=sim.trajectory.copy(),
                        p=draw_momentum(RandomStream(0, 3), p.node_count))
     h0 = hamiltonian(state.q, state.p, problem, hmc)
     ratio = 1.0
@@ -271,7 +271,7 @@ def test_criterion_11_posterior_spread_tracks_the_information():
     ratios = {}
     for scheme, h in (("svex", 0.025), ("imex", 0.03)):
         hmc = HmcParams(h=h, L=15, scheme=scheme, updates=1500, seed=0)
-        chain = run_chain(sim.trajectory.values, problem2, hmc, RandomStream(0, 200))
+        chain = run_chain(sim.trajectory, problem2, hmc, RandomStream(0, 200))
         sd = chain.samples[300:].std(axis=0)
         sd_zero = float(np.mean([sd[window_nodes(n)].mean() for n in zero_windows]))
         sd_rich = float(sd[window_nodes(rich)].mean())

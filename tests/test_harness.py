@@ -38,7 +38,7 @@ from fcshmc.integrators import MidpointSystem, PhaseState
 from fcshmc.model import ExperimentParams, simulate
 from fcshmc.posterior import HmcParams, PosteriorProblem, cfl_certificate, verlet_step_bound
 from fcshmc.rng import RandomStream
-from fcshmc.sampler import HmcMove, run_chain
+from fcshmc.sampler import run_chain
 
 
 def read_rows(path):
@@ -114,11 +114,10 @@ def array_records():
     sim = simulate(RandomStream(0, 1), params)
     problem = PosteriorProblem(params, counts=sim.counts)
     hmc = HmcParams(L=2, updates=2)
-    q = sim.trajectory.values
+    q = sim.trajectory
     chain = run_chain(q, problem, hmc, RandomStream(0, 2))
-    return [sim.trajectory.mesh, sim.trajectory, sim, problem, problem.active_laplacian,
-            PhaseState(q=q, p=q), MidpointSystem.build(problem, hmc, hmc.h),
-            HmcMove(q=q, accepted=True, h_before=0.0, h_after=0.0), chain,
+    return [sim.mesh, sim, problem, problem.active_laplacian,
+            PhaseState(q=q, p=q), MidpointSystem.build(problem, hmc, hmc.h), chain,
             SimulateResult(simulation=sim, paths=[]),
             InferResult(simulation=sim, chains={"svex": chain}, paths=[])]
 
@@ -386,7 +385,7 @@ def test_infer_writes_chains_and_samples(tmp_path):
     assert header == ["step", "node_index", "q_um"]
     m = config.params.node_count
     assert len(rows) == 4 * m  # steps 0, 10, 20, 30
-    assert float(rows[0][2]) == result.simulation.trajectory.values[0]
+    assert float(rows[0][2]) == result.simulation.trajectory[0]
     header, rows = read_rows(by_name["infer_counts"])
     assert len(rows) == 3
 
@@ -598,10 +597,11 @@ def test_cli_replays_run_meta_with_hash_in_out_dir(tmp_path, capsys, monkeypatch
     assert not Path("o").exists()
 
 
-@pytest.mark.parametrize("out", ["o #1", "#x"])
+@pytest.mark.parametrize("out", ["o #1", "#x", "o1 ", " o1"])
 def test_cli_refuses_out_that_config_files_cut(tmp_path, capsys, monkeypatch, out):
     # a '#' at the start or after whitespace would start a comment in the
-    # run_meta replay, so the run is refused before any file is written
+    # run_meta replay, and surrounding whitespace would be stripped, so the
+    # run is refused before any file is written
     monkeypatch.chdir(tmp_path)
     assert main(["certify", "--out", out]) == EXIT_SETUP
     assert "out" in capsys.readouterr().err

@@ -362,6 +362,14 @@ def test_midpoint_conserves_prior_energy_at_any_step(h):
     assert abs(after - before) <= 1e-10 * (1.0 + abs(before))
 
 
+def test_midpoint_build_refuses_a_step_whose_dominance_rounds_away():
+    # at h = 1e8 the margin 1 of the left-hand diagonal is lost to rounding;
+    # the refusal is a ValueError, not a bare assert that -O would skip
+    problem = PosteriorProblem(ExperimentParams(N=2, K=2))
+    with pytest.raises(SingularSystemError, match=r"h = 1e\+08"):
+        MidpointSystem.build(problem, HmcParams(theta=0.5), 1e8)
+
+
 def test_midpoint_stable_far_beyond_explicit_limit():
     # ten times the explicit certificate step 0.134
     problem = small_problem(n=4, k=5)

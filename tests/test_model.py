@@ -232,7 +232,7 @@ def test_measurements_reproducible():
 def test_simulate_shapes():
     p = ExperimentParams(N=5, K=4)
     sim = simulate(RandomStream(0, 1), p)
-    assert sim.trajectory.values.shape == (p.node_count,)
+    assert sim.trajectory.shape == (p.node_count,)
     assert sim.signal.shape == (p.N,)
     assert sim.counts.shape == (p.N,)
     assert sim.counts.dtype.kind in "iu"
@@ -242,7 +242,7 @@ def test_simulate_shapes():
 def test_simulate_zero_diffusion_composition():
     p = ExperimentParams(D=0.0, N=50)
     sim = simulate(RandomStream(3, 1), p)
-    assert np.all(sim.trajectory.values == 0.0)
+    assert np.all(sim.trajectory == 0.0)
     assert sim.signal == pytest.approx(np.full(p.N, 4.59), rel=1e-12)
     assert abs(sim.counts.mean() - 4.59) < 1.0  # Poisson(4.59), 50 windows
 
@@ -256,5 +256,5 @@ def test_simulate_mean_counts_between_floor_and_center():
 def test_simulate_deterministic():
     a = simulate(RandomStream(11, 1), DEFAULT)
     b = simulate(RandomStream(11, 1), DEFAULT)
-    assert np.array_equal(a.trajectory.values, b.trajectory.values)
+    assert np.array_equal(a.trajectory, b.trajectory)
     assert np.array_equal(a.counts, b.counts)

@@ -95,6 +95,10 @@ def test_problem_link_lists_share_one_float_per_value():
     off = build_laplacian(p).off
     assert np.array(problem._s).tobytes() == off.tobytes()
     assert len({id(v) for v in problem._s}) == len(np.unique(off)) == 2
+    # the active operator: build_laplacian's bands without the anchor, bit for bit
+    active, lap = problem.active_laplacian, build_laplacian(p)
+    assert [active.off.tobytes(), active.diag.tobytes()] == [
+        lap.off[1:].tobytes(), lap.diag[1:].tobytes()]
     for values, source in ((problem._tau, link), (problem._vp_coef, 1.0 / (4.0 * p.D * link))):
         assert values.tobytes() == source.tobytes()
         assert not values.flags.writeable

@@ -58,9 +58,9 @@ def test_tiny_step_proposal_is_accepted():
     problem = seeded_problem()
     hmc = HmcParams(h=1e-8, L=1, scheme="svex")
     q = random_q(problem, 22)
-    move = hmc_update(q, problem, hmc, RandomStream(0, 3))
-    assert move.accepted
-    assert abs(move.h_after - move.h_before) <= 1e-6 * (1.0 + abs(move.h_before))
+    _, accepted, h_before, h_after = hmc_update(q, problem, hmc, RandomStream(0, 3))
+    assert accepted
+    assert abs(h_after - h_before) <= 1e-6 * (1.0 + abs(h_before))
 
 
 def test_unstable_step_rejects_and_keeps_state():
@@ -70,11 +70,11 @@ def test_unstable_step_rejects_and_keeps_state():
     stream = RandomStream(1, 3)
     accepted = 0
     for _ in range(50):
-        move = hmc_update(q, problem, hmc, stream)
-        if move.accepted:
+        q_new, move_accepted, _, _ = hmc_update(q, problem, hmc, stream)
+        if move_accepted:
             accepted += 1
         else:
-            assert move.q is q  # rejected update hands back the same state
+            assert q_new is q  # rejected update hands back the same state
     assert accepted / 50 < 0.05
 
 

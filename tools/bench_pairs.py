@@ -2,10 +2,11 @@
 
 For each workload and pair i this script runs
 
-    python3 bench/run.py --workload W --seed S+i --seconds 25 --trace 0
+    python3 bench/run.py --workload W --seed S+i --seconds T --trace 0
 
-from the root of each tree, alternating which tree runs first (the first
-tree goes first in even pairs, the second in odd ones), as
+from the root of each tree, with T the ``run_seconds`` of the first tree's
+BENCHMARK.json, alternating which tree runs first (the first tree goes
+first in even pairs, the second in odd ones), as
 ``tools/complexity_slopes.py`` does.  For each end-to-end metric that
 BENCHMARK.json declares it reports each side's runs, median and quartiles
 (numpy.percentile 25/50/75), the number of pairs the change wins, and
@@ -15,11 +16,11 @@ whether the change stays within the metric's bound:
         --workload infer-421 --workload sweep-tiny --seed 19000 --json FILE
 
 Each tree is a directory holding ``bench/run.py`` and ``src/fcshmc``; the
-metric table is read from the first tree's BENCHMARK.json.  ``--json FILE``
-writes the ``workloads`` record of the BENCH files.  The script exits 1 if
-any run exits non-zero or prints ``"correct": false``.  It writes nothing
-under either tree: the runs write no bytecode, and ``bench/run.py`` removes
-its own outputs.
+metric table and the run length are read from the first tree's
+BENCHMARK.json.  ``--json FILE`` writes the ``workloads`` record of the
+BENCH files.  The script exits 1 if any run exits non-zero or prints
+``"correct": false``.  It writes nothing under either tree: the runs write
+no bytecode, and ``bench/run.py`` removes its own outputs.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
-SECONDS = 25
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds) -> dict:
     """One benchmark run from tree's root: its exit code and printed record."""
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), capture_output=True,
         text=True)
     lines = done.stdout.strip().splitlines()
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
             seeds.append(seed)
             firsts.append(SIDES[order[0]])
             for which in order:
-                run = run_once(trees[which], workload, seed)
+                run = run_once(trees[which], workload, seed, bench["run_seconds"])
                 ok = run["exit_code"] == 0 and run.get("correct") is True
                 failed |= not ok
                 print(f"{workload} seed {seed} {SIDES[which]}: "
