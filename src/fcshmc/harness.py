@@ -4,8 +4,8 @@ Each ``exp_*`` function takes only an :class:`ExperimentConfig`, runs one
 experiment end to end, writes timestamped CSV files plus a ``run_meta`` text
 file, and returns its numerical results so callers (tests, demo scripts)
 need not re-parse the CSVs.  The shared runner (:func:`_experiment`) owns
-the output directory, the stamp, the wall timer and ``run_meta``, and
-registers the experiment in :data:`EXPERIMENTS` with its defaults, which
+the output directory and the files of a run, the stamp and the wall timer,
+and registers the experiment in :data:`EXPERIMENTS` with its defaults, which
 list only the config keys it reads.  Experiments that compare the HMC
 schemes run each ``Scheme`` in definition order and take its proposal
 driver and one-step map from ``integrators.SCHEME_MAPS``.
@@ -257,12 +257,11 @@ def _experiment(result_type, **defaults):
 
     ``defaults``, the values of config keys the experiment reads, are kept
     as the runner's ``.defaults`` for :func:`default_config`.  The runner
-    fills in the experiment's default sweep when the config has none,
-    stamps and times the run, and passes the body ``write(header, rows,
-    *tags)``, which writes ``<name>[_<tag>...]_<stamp>.csv``.  run_meta is
-    written last, so ``paths`` lists the CSVs, then meta.  The output
-    directory is created with the first file, so a run that the body
-    rejects before writing leaves none behind.
+    fills in the default sweep when the config has none, stamps and times
+    the run, and passes the body ``write(header, rows, *tags)``, which
+    queues ``<name>[_<tag>...]_<stamp>.csv``.  Once the body returns, the
+    runner creates the output directory and writes the queued CSVs, then
+    run_meta, in ``paths`` order; a body that raises leaves nothing behind.
     """
     def wrap(body):
         experiment = body.__name__.removeprefix("exp_")
@@ -273,21 +272,18 @@ def _experiment(result_type, **defaults):
             if config.sweep is None:
                 config = replace(config, sweep=defaults.get("sweep"))
             stamp = _timestamp()
-            paths = []
-
-            def out_path(name: str) -> Path:
-                config.out_dir.mkdir(parents=True, exist_ok=True)
-                return config.out_dir / name
+            queued = []  # (file name, header, rows), rows as the body gave them
 
             def write(header: list[str], rows, *tags: str) -> None:
-                name = "_".join((experiment, *tags, stamp))
-                paths.append(_write_csv(out_path(f"{name}.csv"), header, rows))
+                queued.append(("_".join((experiment, *tags, stamp)) + ".csv", header, rows))
 
             found, extras = body(config, write)
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+            paths = [_write_csv(config.out_dir / name, head, rows) for name, head, rows in queued]
             wall = f"{time.perf_counter() - t0:.3f}"
             record = {"experiment": experiment, "timestamp": stamp, "build": _build_identifier(),
                       "version": __version__, "wall_time_sec": wall, **extras}
-            paths.append(_write_run_meta(out_path(f"run_meta_{stamp}.txt"), config, record))
+            paths.append(_write_run_meta(config.out_dir / f"run_meta_{stamp}.txt", config, record))
             return result_type(**found, paths=paths)
 
         run.defaults = defaults
@@ -381,9 +377,9 @@ def exp_infer(config: ExperimentConfig, write):
               zip(range(1, hmc.updates + 1), chain.accepted.astype(int),
                   chain.h_before, chain.h_after),
               "chain", scheme.value)
-        steps = range(0, hmc.updates + 1, config.thin)
-        write(["step", "node_index", "q_um"],
-              ((s, i, chain.samples[s, i]) for s in steps for i in range(p.node_count)),
+        kept = zip(range(0, hmc.updates + 1, config.thin), chain.samples[::config.thin])
+        write(["step", "node_index", "q_um"],  # read after the loop, so from kept, not chain
+              ((s, i, q) for s, row in kept for i, q in enumerate(row)),
               "samples", scheme.value)
     return dict(simulation=sim, chains=chains), {"init": "ground_truth", "h_bound": h_bound}
 

@@ -164,7 +164,8 @@ class MidpointSystem:
         row_off[1:] += off
         row_off[:-1] += off
         if not np.all(np.abs(lhs.diag) > row_off):
-            raise SingularSystemError(f"midpoint matrix at step h = {h:g} lost diagonal dominance")
+            raise SingularSystemError(f"midpoint matrix at step h = {h:g} (run step "
+                                      f"{hmc.h:g}) lost diagonal dominance")
         rhs_op = TridiagonalOperator(off=alpha * lap.off, diag=eye + alpha * lap.diag)
         scale = h / (2.0 * problem.params.D)
         scaled_lap = TridiagonalOperator(off=scale * lap.off, diag=scale * lap.diag)

@@ -183,6 +183,7 @@ def reflection_update(q: np.ndarray, problem: PosteriorProblem, stream: RandomSt
     return q, int(np.count_nonzero(accept))
 
 
+@np.errstate(all="ignore")
 def run_chain(
     init: np.ndarray, problem: PosteriorProblem, hmc: HmcParams, stream: RandomStream
 ) -> Chain:
@@ -190,7 +191,8 @@ def run_chain(
 
     init must be a finite full flat trajectory with init[0] == 0.  Rejected
     HMC proposals leave the trajectory bit-identical; the reflection sweep
-    then acts on whatever state the update produced.
+    then acts on whatever state the update produced.  A blown-up proposal
+    is rejected silently, under one errstate entry per chain, not per step.
     """
     init = np.asarray(init, dtype=float)
     m = problem.node_count

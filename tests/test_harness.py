@@ -342,7 +342,7 @@ def test_efficiency_rejects_lengths_that_sweep_nothing_or_alias(
     with pytest.raises(ValueError, match="3 <= L <= 1153"):
         exp_efficiency(small_config("efficiency", out, L=length))
     assert main(["efficiency", "--L", str(length), "--out", str(out)]) == EXIT_SETUP
-    assert not out.exists()  # the output directory comes with the first file
+    assert not out.exists()  # the runner writes only after the body returns
     capsys.readouterr()
 
 
@@ -399,6 +399,25 @@ def test_infer_warns_at_the_verlet_step_bound(tmp_path):
     with pytest.warns(UserWarning, match="explicit step bound"):
         result = exp_infer(config)
     assert f"# h_bound = {h_bound}" in result.paths[-1].read_text().splitlines()
+
+
+def test_infer_that_raises_after_its_first_chain_leaves_no_directory(monkeypatch, tmp_path):
+    # the explicit chain has run and its rows are queued when the split
+    # chain raises; nothing reaches the disk
+    calls = []
+
+    def second_chain_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("second chain refused")
+        return run_chain(*args)
+
+    monkeypatch.setattr(harness, "run_chain", second_chain_fails)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="second chain refused"):
+        exp_infer(small_config("infer", out, updates=2))
+    assert len(calls) == 2
+    assert not out.exists()
 
 
 def test_run_meta_records_the_sweep_that_ran(tmp_path):
@@ -608,6 +627,20 @@ def test_cli_refuses_out_that_config_files_cut(tmp_path, capsys, monkeypatch, ou
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValueError, match="comment"):
         ExperimentConfig(out_dir=out)
+
+
+def test_cli_refused_infer_names_the_run_step_and_writes_nothing(tmp_path, capsys):
+    # h = 1e9 blows up the explicit chain, silently, then the split chain's
+    # midpoint matrix at h/2 is refused: the message names the run's step,
+    # and the explicit chain's files are not left behind
+    out = tmp_path / "X"
+    with pytest.warns(UserWarning, match="explicit step bound") as record:
+        code = main(["infer", "--N", "2", "--K", "2", "--updates", "1", "--h", "1e9",
+                     "--out", str(out)])
+    assert code == EXIT_SETUP
+    assert [w for w in record if issubclass(w.category, RuntimeWarning)] == []
+    assert "1e+09" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bad_inputs_route_to_exit_codes(tmp_path, capsys):
