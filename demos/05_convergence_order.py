@@ -13,8 +13,7 @@ from fcshmc.harness import exp_convergence, fit_loglog_slope
 config = apply_overrides(
     default_config("convergence", seed=0),
     # reciprocals of integers, so every run hits time L h = 1 exactly
-    {"N": 4, "K": 8, "sweep": [1 / l for l in (250, 354, 500, 707, 1000)],
-     "reference_h": "0.0001"},
+    {"N": 4, "K": 8, "sweep": [1 / l for l in (250, 354, 500, 707, 1000)]},
 )
 result = exp_convergence(config)
 

@@ -32,7 +32,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .integrators import SCHEME_MAPS, PhaseState, sv_full_step, sv_prior_step
+from .integrators import SCHEME_MAPS, PhaseState, _midpoint_system, sv_full_step, sv_prior_step
 from .model import ExperimentParams, Simulation, _validate, sample_prior_trajectory, simulate
 from .posterior import (
     CflCertificate,
@@ -74,6 +74,9 @@ _SID_INIT_P = 3
 _SID_CHAIN = 100  # + sweep-point offset + scheme offset
 _SID_SWEEP_DATA = 10_000  # + sweep-point offset
 
+_REFERENCE_H = 1.0e-4  # convergence reference step, the finest sweep step allowed
+_REPEATS = 3  # complexity timings are the best of this many runs
+
 
 # where a config line's comment starts: '#' at the start or after whitespace
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -109,8 +112,6 @@ class ExperimentConfig:
     # h values, or K values for complexity
     sweep: list | None = field(default=None, metadata={"parse": sweep_list})
     updates_per_point: int = 200       # chain length per (h, L) efficiency point
-    reference_h: float = 1.0e-4        # convergence reference step size
-    repeats: int = 3                   # timing repetitions (best-of)
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
@@ -121,8 +122,7 @@ class ExperimentConfig:
                              "whitespace")
         if self.sweep is not None:
             self.sweep = sweep_list(self.sweep)
-        _validate(self, positive=("reference_h",),
-                  whole=dict(thin=1, updates_per_point=1, repeats=1))
+        _validate(self, positive=(), whole=dict(thin=1, updates_per_point=1))
 
 
 def _config_keys() -> dict:
@@ -259,9 +259,12 @@ def _experiment(result_type, **defaults):
     as the runner's ``.defaults`` for :func:`default_config`.  The runner
     fills in the default sweep when the config has none, stamps and times
     the run, and passes the body ``write(header, rows, *tags)``, which
-    queues ``<name>[_<tag>...]_<stamp>.csv``.  Once the body returns, the
-    runner creates the output directory and writes the queued CSVs, then
-    run_meta, in ``paths`` order; a body that raises leaves nothing behind.
+    queues ``<name>[_<tag>...]_<stamp>.csv``.  The body runs under one
+    ``np.errstate(all="ignore")``, so a blown-up state gives inf and NaN
+    silently, with one errstate entry per run and none per step.  Once the
+    body returns, the runner creates the output directory and writes the
+    queued CSVs, then run_meta, in ``paths`` order; a body that raises
+    leaves nothing behind.
     """
     def wrap(body):
         experiment = body.__name__.removeprefix("exp_")
@@ -277,7 +280,8 @@ def _experiment(result_type, **defaults):
             def write(header: list[str], rows, *tags: str) -> None:
                 queued.append(("_".join((experiment, *tags, stamp)) + ".csv", header, rows))
 
-            found, extras = body(config, write)
+            with np.errstate(all="ignore"):
+                found, extras = body(config, write)
             config.out_dir.mkdir(parents=True, exist_ok=True)
             paths = [_write_csv(config.out_dir / name, head, rows) for name, head, rows in queued]
             wall = f"{time.perf_counter() - t0:.3f}"
@@ -368,6 +372,11 @@ def exp_infer(config: ExperimentConfig, write):
     if h.h >= h_bound:
         warnings.warn(f"h = {h.h} is at or above the explicit step bound {h_bound:.4g}; "
                       "explicit chain may reject almost everything", stacklevel=3)
+    # the split chain's midpoint systems, built (or refused) before any chain
+    # runs; the chain finds them in the problem's cache
+    _midpoint_system(problem, h, 0.5 * h.h)
+    if h.L > 1:
+        _midpoint_system(problem, h, h.h)
     chains: dict = {}
     for offset, scheme in enumerate(Scheme):
         hmc = replace(h, scheme=scheme)
@@ -503,20 +512,21 @@ def exp_efficiency(config: ExperimentConfig, write):
     lengths = primes_below(h0.L)
     if not 1 <= len(lengths) <= 190:
         raise ValueError(f"efficiency needs 3 <= L <= 1153, got L = {h0.L}")
+    row_hmcs = [replace(h0, h=float(h_val), updates=config.updates_per_point)
+                for h_val in config.sweep]  # a bad step is refused before any chain
     rows = []
-    for i, h_val in enumerate(config.sweep):
+    for i, row_hmc in enumerate(row_hmcs):
         ars = {scheme: [] for scheme in Scheme}
         for j, l_val in enumerate(lengths):
             point = i * 1009 + j
             sim = simulate(RandomStream(h0.seed, _SID_SWEEP_DATA + point), p)
             problem = PosteriorProblem(p, counts=sim.counts)
             for offset, scheme in enumerate(Scheme):
-                hmc = replace(h0, h=float(h_val), L=l_val, scheme=scheme,
-                              updates=config.updates_per_point)
+                hmc = replace(row_hmc, L=l_val, scheme=scheme)
                 chain = run_chain(sim.trajectory, problem, hmc,
                                   RandomStream(h0.seed, _SID_CHAIN + 2 * point + offset))
                 ars[scheme].append(chain.accept_rate)
-        rows.append((float(h_val), *(float(np.mean(ars[scheme])) for scheme in Scheme)))
+        rows.append((row_hmc.h, *(float(np.mean(ars[scheme])) for scheme in Scheme)))
     write(["h", *(f"AR_{scheme.value}" for scheme in Scheme)], rows)
     return dict(rows=rows), {"l_values": " ".join(str(v) for v in lengths),
                              "init": "ground_truth"}
@@ -558,19 +568,23 @@ def exp_convergence(config: ExperimentConfig, write):
     """Fixed-time self-convergence of both schemes.
 
     Integrates one shared (q0, p0) to time L h = 1 for each sweep h and
-    compares terminal positions against the same scheme run at
-    ``reference_h``; also records the worst energy drift along each run.
-    Blown-up runs are recorded as inf and excluded from slope fits.
+    compares terminal positions against the same scheme run at the
+    reference step 1e-4 (``_REFERENCE_H``, recorded in run_meta as
+    ``reference_h``), which no sweep step may undercut; also records the
+    worst energy drift along each run.  Blown-up runs are recorded as inf
+    and excluded from slope fits.
     """
     p, h0 = config.params, config.hmc
-    l_ref, *sweep_steps = map(_steps_to_time_one, (config.reference_h, *config.sweep))
+    l_ref, *sweep_steps = map(_steps_to_time_one, (_REFERENCE_H, *config.sweep))
+    if min(config.sweep) < _REFERENCE_H:
+        raise ValueError(f"convergence needs sweep steps >= the reference step {_REFERENCE_H:g}")
     sim = simulate(RandomStream(h0.seed, _SID_DATA), p)
     problem = PosteriorProblem(p, counts=sim.counts)
     init = _prior_draw(config)
 
     reference = {}
     for scheme in Scheme:
-        hmc = replace(h0, h=config.reference_h, scheme=scheme)
+        hmc = replace(h0, h=_REFERENCE_H, scheme=scheme)
         terminal, _ = _integrate_recorded(init, problem, hmc, l_ref, False)
         reference[scheme] = terminal.q
 
@@ -585,17 +599,18 @@ def exp_convergence(config: ExperimentConfig, write):
         rows.append((float(h_val), *q_errs, *h_errs))
     columns = [f"{name}_{scheme.value}" for name in ("q_err", "H_err") for scheme in Scheme]
     write(["h", *columns], rows)
-    return dict(rows=rows), {"steps": " ".join(map(str, sweep_steps))}
+    return dict(rows=rows), {"reference_h": _REFERENCE_H, "steps": " ".join(map(str, sweep_steps))}
 
 
 @_experiment(SweepResult, N=2, h=0.05, L=20, sweep=[10, 14, 20, 28, 40, 56, 79, 100])
 def exp_complexity(config: ExperimentConfig, write):
     """Wall time of one L-step integration as the mesh is refined in K.
 
-    Fresh data per K, shared by both schemes; each timing is the best of
-    ``repeats`` runs after one untimed warm-up (which also populates the
-    midpoint operator cache, so setup cost is excluded).  Both schemes are
-    expected to scale linearly in the trajectory length M = N(K+1)+1.
+    Fresh data per K, shared by both schemes; each timing is the best of 3
+    runs (``_REPEATS``, recorded in run_meta as ``repeats``) after one
+    untimed warm-up (which also populates the midpoint operator cache, so
+    setup cost is excluded).  Both schemes are expected to scale linearly in
+    the trajectory length M = N(K+1)+1.
     """
     h0 = config.hmc
     if not all(float(k).is_integer() for k in config.sweep):
@@ -614,7 +629,7 @@ def exp_complexity(config: ExperimentConfig, write):
             hmc = replace(h0, scheme=scheme)
             runner(init, problem, hmc)  # warm-up, untimed
             best = math.inf
-            for _ in range(config.repeats):
+            for _ in range(_REPEATS):
                 tic = time.perf_counter()
                 runner(init, problem, hmc)
                 best = min(best, time.perf_counter() - tic)
@@ -624,4 +639,5 @@ def exp_complexity(config: ExperimentConfig, write):
     ks, *walls = zip(*rows)
     slopes = {f"slope_{scheme.value}": fit_loglog_slope(ks, wall)
               for scheme, wall in zip(Scheme, walls)}
-    return dict(rows=rows), {"timing": "integration only, operators prebuilt", **slopes}
+    return dict(rows=rows), {"timing": "integration only, operators prebuilt",
+                             "repeats": _REPEATS, **slopes}

@@ -39,6 +39,7 @@ from fcshmc.model import ExperimentParams, simulate
 from fcshmc.posterior import HmcParams, PosteriorProblem, cfl_certificate, verlet_step_bound
 from fcshmc.rng import RandomStream
 from fcshmc.sampler import run_chain
+from fcshmc.tridiag import SingularSystemError
 
 
 def read_rows(path):
@@ -145,10 +146,9 @@ def test_default_config_per_experiment():
 
 
 def test_config_validation():
-    ExperimentConfig(thin=np.int64(3), updates_per_point=np.int64(3), repeats=np.int64(3))
-    for bad in (dict(thin=0), dict(updates_per_point=0), dict(reference_h=0.0),
-                dict(repeats=0), dict(thin=2.5), dict(updates_per_point=2.5),
-                dict(repeats=1.5), dict(sweep=[])):
+    ExperimentConfig(thin=np.int64(3), updates_per_point=np.int64(3))
+    for bad in (dict(thin=0), dict(updates_per_point=0), dict(thin=2.5),
+                dict(updates_per_point=2.5), dict(sweep=[])):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
     # typed overrides reach the records unparsed: a fraction for an integer
@@ -167,12 +167,6 @@ def test_config_validation():
             apply_overrides(infer, dict(sweep=text))
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_config_rejects_non_finite_reference_step(value):
-    with pytest.raises(ValueError, match="reference_h must be finite"):
-        ExperimentConfig(reference_h=value)
-
-
 @pytest.mark.parametrize("sweep", ["10.5 20", "nan", "inf"])
 def test_complexity_rejects_fractional_mesh_sizes(tmp_path, sweep):
     out = tmp_path / "out"
@@ -184,8 +178,8 @@ def test_complexity_rejects_fractional_mesh_sizes(tmp_path, sweep):
 @pytest.mark.parametrize("argv", [
     ["infer", "--h", "nan"], ["infer", "--h", "inf"],
     ["infer", "--D", "nan"], ["infer", "--tau_exp", "inf"],
-    ["convergence", "--reference_h", "nan"], ["convergence", "--reference_h", "3"],
     ["convergence", "--sweep", "0"], ["convergence", "--sweep", "3"],
+    ["convergence", "--sweep", "0.00005"],  # finer than the reference step
     ["complexity", "--sweep", "10.5 20"],
 ], ids=" ".join)
 def test_cli_rejects_non_finite_or_fractional_setup_before_writing(tmp_path, capsys, argv):
@@ -217,6 +211,20 @@ def test_apply_overrides_typing_and_routing():
 def test_apply_overrides_unknown_key():
     with pytest.raises(ConfigError, match="unknown config key"):
         apply_overrides(default_config("simulate"), {"tau_exmo": "1"})
+
+
+@pytest.mark.parametrize("key", ["reference_h", "repeats"])
+def test_cli_refuses_the_constant_reference_step_and_repeats(tmp_path, capsys, key):
+    # convergence's reference step and complexity's best-of count are
+    # constants: neither a flag nor a config-file key sets them
+    out = tmp_path / "out"
+    assert main(["convergence", f"--{key}", "1", "--out", str(out)]) == EXIT_USAGE
+    assert f"--{key}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key", [key for key in CONFIG_KEYS if key != "out"])
@@ -303,6 +311,14 @@ def test_surrogate_brackets_the_stability_edge(tmp_path):
     assert full_big > 1e6 and prior_big > 1e6
 
 
+def test_stability_blow_up_is_silent(tmp_path):
+    # h = 0.2 is past the prior's Verlet edge: over 3000 steps the state
+    # overflows to inf and NaN with no RuntimeWarning (an error in Tier-1)
+    result = exp_stability(small_config("stability", tmp_path, K=20, L=3000, sweep="0.2"))
+    energies = [row[5] for row in result.rows]
+    assert math.isfinite(energies[0]) and not math.isfinite(energies[-1])
+
+
 def test_stability_records_phase_and_energy(tmp_path):
     config = small_config("stability", tmp_path, sweep="0.02", L=5)
     result = exp_stability(config)
@@ -329,6 +345,19 @@ def test_efficiency_small_steps_accept_everything(tmp_path):
     assert "l_values = 2 3 5" in meta
 
 
+def test_efficiency_refuses_a_bad_sweep_step_before_any_chain(monkeypatch, tmp_path, capsys):
+    # row 0's step is fine, row 1's is not: no chain of row 0 runs
+    def no_chain(*args):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr("fcshmc.harness.run_chain", no_chain)
+    out = tmp_path / "out"
+    assert main(["efficiency", "--N", "2", "--K", "3", "--sweep", "0.02,-1",
+                 "--out", str(out)]) == EXIT_SETUP
+    assert "h must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("length", [2, 1154])
 def test_efficiency_rejects_lengths_that_sweep_nothing_or_alias(
         monkeypatch, tmp_path, capsys, length):
@@ -347,19 +376,19 @@ def test_efficiency_rejects_lengths_that_sweep_nothing_or_alias(
 
 
 def test_convergence_reference_point_has_zero_error(tmp_path):
-    config = small_config("convergence", tmp_path, sweep="0.01",
-                          reference_h=0.01, L=100)
+    config = small_config("convergence", tmp_path, sweep="0.0001", L=100)
     result = exp_convergence(config)
     header, _ = read_rows(result.paths[0])
     assert header == ["h", "q_err_svex", "q_err_imex", "H_err_svex", "H_err_imex"]
     (h, q_sv, q_im, e_sv, e_im), = result.rows
-    assert h == 0.01
+    assert h == 0.0001
     assert q_sv == 0.0 and q_im == 0.0  # sweep h equals the reference h
     assert 0.0 < e_sv < math.inf and 0.0 < e_im < math.inf
+    assert "# reference_h = 0.0001" in result.paths[-1].read_text().splitlines()
 
 
 def test_complexity_times_both_schemes(tmp_path):
-    config = small_config("complexity", tmp_path, sweep="5 8", repeats=1)
+    config = small_config("complexity", tmp_path, sweep="5 8")
     result = exp_complexity(config)
     header, rows = read_rows(result.paths[0])
     assert header == ["K", "wall_svex_sec", "wall_imex_sec"]
@@ -367,6 +396,7 @@ def test_complexity_times_both_schemes(tmp_path):
     assert all(float(r[1]) > 0 and float(r[2]) > 0 for r in rows)
     meta = result.paths[1].read_text()
     assert "timing = integration only, operators prebuilt" in meta
+    assert "# repeats = 3\n" in meta
     ks, svex, imex = zip(*result.rows)
     assert f"# slope_svex = {fit_loglog_slope(ks, svex)}\n" in meta
     assert f"# slope_imex = {fit_loglog_slope(ks, imex)}\n" in meta
@@ -399,6 +429,19 @@ def test_infer_warns_at_the_verlet_step_bound(tmp_path):
     with pytest.warns(UserWarning, match="explicit step bound"):
         result = exp_infer(config)
     assert f"# h_bound = {h_bound}" in result.paths[-1].read_text().splitlines()
+
+
+def test_infer_refuses_the_split_step_before_any_chain(monkeypatch, tmp_path):
+    # the split chain's midpoint systems are built before the explicit chain
+    # runs, so a step they refuse costs no chain
+    calls = []
+    monkeypatch.setattr(harness, "run_chain", lambda *args: calls.append(args))
+    config = small_config("infer", tmp_path / "out", h=1e9, updates=2)
+    with pytest.warns(UserWarning, match="explicit step bound"), \
+            pytest.raises(SingularSystemError, match="1e\\+09"):
+        exp_infer(config)
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_infer_that_raises_after_its_first_chain_leaves_no_directory(monkeypatch, tmp_path):
@@ -456,8 +499,8 @@ GOLDEN_RUNS = {
     "efficiency": (dict(sweep="0.02 0.1", updates_per_point=10, L=6), {
         "efficiency": "0295621abf582246dd9c564072cbc285fd6d2c010356efdb3f760347b1d5e501",
     }),
-    "convergence": (dict(sweep="0.01 0.02", reference_h=0.002), {
-        "convergence": "7e2ecce9a5beefb384d9ebbe47476b15f20d12775e058e8693481e89eccf1635",
+    "convergence": (dict(sweep="0.01 0.02"), {
+        "convergence": "0df5f71f1a5cdc43bd7befce36c6e0386e0fdd9b91b97c15245b34176838d661",
     }),
 }
 
@@ -532,7 +575,7 @@ def test_experiment_opens_each_stream_once(monkeypatch, tmp_path, name):
 
     monkeypatch.setattr(RandomStream, "__init__", record)
     if name == "complexity":
-        exp_complexity(small_config("complexity", tmp_path, sweep="5 8", repeats=1))
+        exp_complexity(small_config("complexity", tmp_path, sweep="5 8"))
     elif name == "efficiency_L1153":
         monkeypatch.setattr("fcshmc.harness.run_chain",
                             lambda *args: SimpleNamespace(accept_rate=1.0))
@@ -630,9 +673,9 @@ def test_cli_refuses_out_that_config_files_cut(tmp_path, capsys, monkeypatch, ou
 
 
 def test_cli_refused_infer_names_the_run_step_and_writes_nothing(tmp_path, capsys):
-    # h = 1e9 blows up the explicit chain, silently, then the split chain's
-    # midpoint matrix at h/2 is refused: the message names the run's step,
-    # and the explicit chain's files are not left behind
+    # at h = 1e9 the split chain's midpoint matrix at h/2 is refused before
+    # any chain runs: the message names the run's step, and nothing is
+    # written
     out = tmp_path / "X"
     with pytest.warns(UserWarning, match="explicit step bound") as record:
         code = main(["infer", "--N", "2", "--K", "2", "--updates", "1", "--h", "1e9",
