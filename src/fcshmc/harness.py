@@ -8,7 +8,9 @@ the output directory and the files of a run, the stamp and the wall timer,
 and registers the experiment in :data:`EXPERIMENTS` with its defaults, which
 list only the config keys it reads.  Experiments that compare the HMC
 schemes run each ``Scheme`` in definition order and take its proposal
-driver and one-step map from ``integrators.SCHEME_MAPS``.
+driver from ``sampler.proposal_driver``; a one-step map is the driver at
+L = 1.  A sweep experiment builds every point's records before its first
+point, so a bad point is refused before any work.
 
 Reproducibility: a single seed drives everything.  Substreams are derived
 per role (data, inits, chains) and per sweep point with fixed stream ids, so
@@ -32,7 +34,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .integrators import SCHEME_MAPS, PhaseState, _midpoint_system, sv_full_step, sv_prior_step
+from .integrators import PhaseState, midpoint_systems, sv_full_step, sv_prior_step
 from .model import ExperimentParams, Simulation, _validate, sample_prior_trajectory, simulate
 from .posterior import (
     CflCertificate,
@@ -45,7 +47,7 @@ from .posterior import (
     verlet_step_bound,
 )
 from .rng import RandomStream
-from .sampler import draw_momentum, run_chain
+from .sampler import draw_momentum, proposal_driver, run_chain
 
 __all__ = [
     "ExperimentConfig",
@@ -374,9 +376,7 @@ def exp_infer(config: ExperimentConfig, write):
                       "explicit chain may reject almost everything", stacklevel=3)
     # the split chain's midpoint systems, built (or refused) before any chain
     # runs; the chain finds them in the problem's cache
-    _midpoint_system(problem, h, 0.5 * h.h)
-    if h.L > 1:
-        _midpoint_system(problem, h, h.h)
+    midpoint_systems(problem, h, h.L)
     chains: dict = {}
     for offset, scheme in enumerate(Scheme):
         hmc = replace(h, scheme=scheme)
@@ -460,15 +460,15 @@ def exp_surrogate(config: ExperimentConfig, write):
     edge; the prior subsystem is the cheap surrogate for the full map.
     """
     p, h0 = config.params, config.hmc
+    hmcs = [replace(h0, h=float(h_val)) for h_val in config.sweep]
     sim = simulate(RandomStream(h0.seed, _SID_DATA), p)
     problem = PosteriorProblem(p, counts=sim.counts)
     init = _prior_draw(config)
     rows = []
-    for h_val in config.sweep:
-        hmc = replace(h0, h=float(h_val))
+    for hmc in hmcs:
         b_full = _max_q_norm(init, lambda s: sv_full_step(s, problem, hmc), h0.L)
         b_prior = _max_q_norm(init, lambda s: sv_prior_step(s, problem, hmc), h0.L)
-        rows.append((float(h_val), b_full, b_prior))
+        rows.append((hmc.h, b_full, b_prior))
     write(["h", "b_full", "b_prior"], rows)
     return dict(rows=rows), {}
 
@@ -482,17 +482,17 @@ def exp_stability(config: ExperimentConfig, write):
     the energy column.
     """
     p, h0 = config.params, config.hmc
+    hmcs = [replace(h0, h=float(h_val)) for h_val in config.sweep]
     problem = PosteriorProblem(p)  # prior-only target
     init = _prior_draw(config)
     coord = p.node_count // 2
     rows = []
-    for h_val in config.sweep:
-        hmc = replace(h0, h=float(h_val))
+    for hmc in hmcs:
         state = init
         for step in range(h0.L + 1):
             if step:
                 state = sv_prior_step(state, problem, hmc)
-            rows.append((float(h_val), step, step * float(h_val), state.q[coord],
+            rows.append((hmc.h, step, step * hmc.h, state.q[coord],
                          state.p[coord], hamiltonian_prior(state.q, state.p, problem, hmc)))
     write(["h", "step", "eta", "q_coord", "p_coord", "H_prior"], rows)
     return dict(rows=rows), {"coordinate_index": coord, "target": "prior_only"}
@@ -513,7 +513,7 @@ def exp_efficiency(config: ExperimentConfig, write):
     if not 1 <= len(lengths) <= 190:
         raise ValueError(f"efficiency needs 3 <= L <= 1153, got L = {h0.L}")
     row_hmcs = [replace(h0, h=float(h_val), updates=config.updates_per_point)
-                for h_val in config.sweep]  # a bad step is refused before any chain
+                for h_val in config.sweep]
     rows = []
     for i, row_hmc in enumerate(row_hmcs):
         ars = {scheme: [] for scheme in Scheme}
@@ -534,9 +534,9 @@ def exp_efficiency(config: ExperimentConfig, write):
 
 def _integrate_recorded(init: PhaseState, problem: PosteriorProblem, hmc: HmcParams,
                         steps: int, track_energy: bool):
-    """steps applications of hmc.scheme's one-step map; optionally the max
-    energy drift along the way.  Returns (terminal state, max |H_l - H_0|)."""
-    one_step = SCHEME_MAPS[hmc.scheme][1]
+    """steps single steps of hmc.scheme (its driver at L = 1); optionally the
+    max energy drift along the way.  Returns (terminal state, max |H_l - H_0|)."""
+    one_step, hmc = proposal_driver(hmc.scheme), replace(hmc, L=1)
     state = init
     h_ref = hamiltonian(state.q, state.p, problem, hmc) if track_energy else 0.0
     drift = 0.0
@@ -551,17 +551,6 @@ def _integrate_recorded(init: PhaseState, problem: PosteriorProblem, hmc: HmcPar
     return state, drift
 
 
-def _steps_to_time_one(h) -> int:
-    """round(1 / h), the step count of a run to time 1.  Rejects every h that
-    gives no step (h <= 0, h >= 2 since round(0.5) is 0, nan and inf) and
-    every h whose 1 / h overflows."""
-    h = float(h)
-    inv = 1.0 / h if h > 0.0 else 0.0
-    if not (math.isfinite(inv) and round(inv) >= 1):
-        raise ValueError(f"convergence step sizes need 0 < h < 2 and a finite 1 / h, got {h}")
-    return round(inv)
-
-
 @_experiment(SweepResult, sweep=[
     1.0 / l for l in (100, 141, 200, 283, 400, 566, 800, 1131, 1600, 2263, 3200)])
 def exp_convergence(config: ExperimentConfig, write):
@@ -570,14 +559,17 @@ def exp_convergence(config: ExperimentConfig, write):
     Integrates one shared (q0, p0) to time L h = 1 for each sweep h and
     compares terminal positions against the same scheme run at the
     reference step 1e-4 (``_REFERENCE_H``, recorded in run_meta as
-    ``reference_h``), which no sweep step may undercut; also records the
-    worst energy drift along each run.  Blown-up runs are recorded as inf
-    and excluded from slope fits.
+    ``reference_h``); also records the worst energy drift along each run.
+    A run takes round(1 / h) steps, so every sweep h must lie in
+    1e-4 <= h < 2: no finer than the reference, and at least one step
+    (round(0.5) is 0).  Blown-up runs are recorded as inf and excluded from
+    slope fits.
     """
     p, h0 = config.params, config.hmc
-    l_ref, *sweep_steps = map(_steps_to_time_one, (_REFERENCE_H, *config.sweep))
-    if min(config.sweep) < _REFERENCE_H:
-        raise ValueError(f"convergence needs sweep steps >= the reference step {_REFERENCE_H:g}")
+    if not all(_REFERENCE_H <= h < 2.0 for h in config.sweep):
+        raise ValueError(f"convergence needs {_REFERENCE_H:g} <= h < 2 for every sweep step, "
+                         f"got {config.sweep}")
+    l_ref, *sweep_steps = (round(1.0 / h) for h in (_REFERENCE_H, *config.sweep))
     sim = simulate(RandomStream(h0.seed, _SID_DATA), p)
     problem = PosteriorProblem(p, counts=sim.counts)
     init = _prior_draw(config)
@@ -615,17 +607,16 @@ def exp_complexity(config: ExperimentConfig, write):
     h0 = config.hmc
     if not all(float(k).is_integer() for k in config.sweep):
         raise ValueError(f"complexity sweeps whole K values, got {config.sweep}")
+    point_params = [replace(config.params, K=int(k)) for k in config.sweep]
     rows = []
-    for idx, k_val in enumerate(config.sweep):
-        k = int(k_val)
-        params = replace(config.params, K=k)
+    for idx, params in enumerate(point_params):
         sim = simulate(RandomStream(h0.seed, _SID_SWEEP_DATA + idx), params)
         problem = PosteriorProblem(params, counts=sim.counts)
         p0 = draw_momentum(RandomStream(h0.seed, _SID_INIT_P + idx), params.node_count)
         init = PhaseState(q=sim.trajectory, p=p0)
         walls = []
         for scheme in Scheme:
-            runner = SCHEME_MAPS[scheme][0]
+            runner = proposal_driver(scheme)
             hmc = replace(h0, scheme=scheme)
             runner(init, problem, hmc)  # warm-up, untimed
             best = math.inf
@@ -634,7 +625,7 @@ def exp_complexity(config: ExperimentConfig, write):
                 runner(init, problem, hmc)
                 best = min(best, time.perf_counter() - tic)
             walls.append(best)
-        rows.append((k, *walls))
+        rows.append((params.K, *walls))
     write(["K", *(f"wall_{scheme.value}_sec" for scheme in Scheme)], rows)
     ks, *walls = zip(*rows)
     slopes = {f"slope_{scheme.value}": fit_loglog_slope(ks, wall)

@@ -23,10 +23,10 @@ loop at steps = 1.  Each wrapper passes its own drift coefficient; the
 wrappers and ``_strang`` look up at call time the names the benchmark
 traces.
 
-``SCHEME_MAPS``, the one table of the HMC schemes, gives each ``Scheme`` its
-L-step proposal driver and its one-step map; the experiments read both there.
-``sampler.hmc_update`` names its drivers itself, at the names the benchmark
-traces, so a new scheme is one row here and one branch there.
+The HMC schemes' one dispatch is ``sampler.proposal_driver``, which gives
+each ``Scheme`` its L-step driver here; a one-step map is its driver at
+L = 1.  ``midpoint_systems`` is the one place that says which midpoint
+systems a split run of some steps uses.
 
 ``_leapfrog`` and the midpoint map copy their input state once, update the
 copies in place and return them, wrapped by ``_state``.
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import posterior
-from .posterior import HmcParams, PosteriorProblem, Scheme
+from .posterior import HmcParams, PosteriorProblem
 from .tridiag import SingularSystemError, TridiagonalOperator, thomas_solve, tridiag_matvec
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "sv_likelihood_step",
     "sv_prior_step",
     "midpoint_prior_step",
+    "midpoint_systems",
     "imex_step",
     "imex_l_steps",
     "svex_l_steps",
@@ -144,7 +145,8 @@ class MidpointSystem:
     cached on the problem.  Each operator converts its bands to Python lists
     on its first use, and ``lhs`` factors itself on its first solve (see
     ``tridiag``), so a step repeats neither: it runs three O(M) matvec loops
-    and two O(M) substitution loops over its own vectors.  The loops stay
+    and, in its two solves, four O(M) substitution loops (one elimination
+    and one back-substitution each) over its own vectors.  The loops stay
     Python so that a step's cost stays proportional to M.
     """
 
@@ -182,6 +184,14 @@ def _midpoint_system(problem: PosteriorProblem, hmc: HmcParams, h: float) -> Mid
     return sys
 
 
+def midpoint_systems(problem: PosteriorProblem, hmc: HmcParams, steps: int):
+    """(half, full): the midpoint systems of ``steps`` Strang steps, at h/2
+    and, when steps > 1, at h (else None), built or refused
+    (``SingularSystemError``) on first use and cached on the problem."""
+    half = _midpoint_system(problem, hmc, 0.5 * hmc.h)
+    return half, (_midpoint_system(problem, hmc, hmc.h) if steps > 1 else None)
+
+
 def midpoint_prior_step(state: PhaseState, system: MidpointSystem) -> PhaseState:
     """Implicit midpoint map of the prior subsystem; exactly preserves the
     prior energy of the active coordinates up to solver round-off."""
@@ -201,8 +211,7 @@ def midpoint_prior_step(state: PhaseState, system: MidpointSystem) -> PhaseState
 def _strang(state, problem, hmc, steps):
     """``steps`` Strang steps with interior half midpoints merged into full
     ones; a single step neither builds nor caches the full-step system."""
-    half = _midpoint_system(problem, hmc, 0.5 * hmc.h)
-    full = _midpoint_system(problem, hmc, hmc.h) if steps > 1 else None
+    half, full = midpoint_systems(problem, hmc, steps)
     st = midpoint_prior_step(state, half)
     st = sv_likelihood_step(st, problem, hmc)
     for _ in range(steps - 1):
@@ -233,6 +242,3 @@ def svex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -
     """L leapfrog steps of the full Hamiltonian with merged half kicks
     (L+1 gradient evaluations)."""
     return _leapfrog(state, posterior.grad_v, problem, hmc.h, hmc.h, hmc.L)
-
-
-SCHEME_MAPS = {Scheme.SVEX: (svex_l_steps, sv_full_step), Scheme.IMEX: (imex_l_steps, imex_step)}

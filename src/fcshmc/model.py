@@ -33,7 +33,6 @@ __all__ = [
     "time_mesh",
     "signal",
     "sample_prior_trajectory",
-    "sample_measurements",
     "simulate",
 ]
 
@@ -165,14 +164,6 @@ def sample_prior_trajectory(stream: RandomStream, params: ExperimentParams) -> n
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def sample_measurements(stream: RandomStream, u: np.ndarray) -> np.ndarray:
-    """Poisson counts around the window signal u (all entries must be > 0;
-    ``RandomStream.poissons`` checks them)."""
-    if np.size(u) == 0:
-        raise ValueError("signal must be non-empty")
-    return stream.poissons(u)
-
-
 def simulate(stream: RandomStream, params: ExperimentParams) -> Simulation:
     """Draw trajectory, evaluate the window signal, draw photon counts.
 
@@ -181,5 +172,4 @@ def simulate(stream: RandomStream, params: ExperimentParams) -> Simulation:
     """
     q = sample_prior_trajectory(stream, params)
     u = signal(q, params)
-    w = sample_measurements(stream, u)
-    return Simulation(trajectory=q, mesh=time_mesh(params), signal=u, counts=w)
+    return Simulation(trajectory=q, mesh=time_mesh(params), signal=u, counts=stream.poissons(u))

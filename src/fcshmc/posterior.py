@@ -67,7 +67,6 @@ __all__ = [
     "PosteriorProblem",
     "CflCertificate",
     "build_laplacian",
-    "dead_time_coupling",
     "exposure_coupling",
     "v_prior",
     "grad_v_prior",
@@ -135,14 +134,6 @@ def _path_laplacian(weights: np.ndarray) -> TridiagonalOperator:
     return TridiagonalOperator(off=weights, diag=diag)
 
 
-def _dead_links(params: ExperimentParams) -> np.ndarray:
-    """Indicator (1.0 / 0.0) of the dead links: link j joins nodes j, j+1,
-    and each window starts with one dead link followed by K submesh links."""
-    dead = np.zeros(params.node_count - 1)
-    dead[:: params.K + 1] = 1.0
-    return dead
-
-
 def build_laplacian(params: ExperimentParams) -> TridiagonalOperator:
     """Two-scale discrete Laplacian on the flat mesh (M x M, symmetric).
 
@@ -152,15 +143,14 @@ def build_laplacian(params: ExperimentParams) -> TridiagonalOperator:
     return _path_laplacian(1.0 / time_mesh(params).link_tau)
 
 
-def dead_time_coupling(params: ExperimentParams) -> TridiagonalOperator:
-    """Unit-coupling graph Laplacian of the dead links alone."""
-    return _path_laplacian(_dead_links(params))
-
-
 def exposure_coupling(params: ExperimentParams) -> TridiagonalOperator:
     """Unit-coupling Laplacian of the submesh links: one Neumann block per
-    window, a zero row/column at the anchor node."""
-    return _path_laplacian(1.0 - _dead_links(params))
+    window, a zero row/column at the anchor node.  Link j joins nodes j and
+    j+1, and each window starts with one dead link (weight 0) followed by K
+    submesh links (weight 1)."""
+    weights = np.ones(params.node_count - 1)
+    weights[:: params.K + 1] = 0.0
+    return _path_laplacian(weights)
 
 
 @dataclass(eq=False)

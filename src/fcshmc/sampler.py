@@ -34,6 +34,7 @@ __all__ = [
     "Chain",
     "draw_momentum",
     "hmc_update",
+    "proposal_driver",
     "reflect_head",
     "reflect_tail",
     "reflection_log_ratio",
@@ -65,6 +66,13 @@ def draw_momentum(stream: RandomStream, node_count: int) -> np.ndarray:
     return p
 
 
+def proposal_driver(scheme: Scheme):
+    """The scheme's L-step proposal driver, the one scheme dispatch of the
+    package.  It reads this module's names at call time, where the benchmark
+    traces them."""
+    return svex_l_steps if scheme is Scheme.SVEX else imex_l_steps
+
+
 def hmc_update(
     q: np.ndarray, problem: PosteriorProblem, hmc: HmcParams, stream: RandomStream
 ) -> tuple[np.ndarray, bool, float, float]:
@@ -78,8 +86,7 @@ def hmc_update(
     """
     p = draw_momentum(stream, problem.node_count)
     h0 = hamiltonian(q, p, problem, hmc)
-    step = svex_l_steps if hmc.scheme is Scheme.SVEX else imex_l_steps
-    prop = step(PhaseState(q=q, p=p), problem, hmc)
+    prop = proposal_driver(hmc.scheme)(PhaseState(q=q, p=p), problem, hmc)
     h1 = hamiltonian(prop.q, prop.p, problem, hmc)
     u = stream.uniform()
     accepted = False

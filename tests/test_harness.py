@@ -180,6 +180,8 @@ def test_complexity_rejects_fractional_mesh_sizes(tmp_path, sweep):
     ["infer", "--D", "nan"], ["infer", "--tau_exp", "inf"],
     ["convergence", "--sweep", "0"], ["convergence", "--sweep", "3"],
     ["convergence", "--sweep", "0.00005"],  # finer than the reference step
+    ["convergence", "--sweep", "2"], ["convergence", "--sweep", "0.01,nan"],
+    ["convergence", "--sweep", "0.01,inf"],
     ["complexity", "--sweep", "10.5 20"],
 ], ids=" ".join)
 def test_cli_rejects_non_finite_or_fractional_setup_before_writing(tmp_path, capsys, argv):
@@ -355,6 +357,30 @@ def test_efficiency_refuses_a_bad_sweep_step_before_any_chain(monkeypatch, tmp_p
     assert main(["efficiency", "--N", "2", "--K", "3", "--sweep", "0.02,-1",
                  "--out", str(out)]) == EXIT_SETUP
     assert "h must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, sweep, first_point_work, refusal", [
+    ("surrogate", "0.02,-1", "_max_q_norm", "h must be finite and > 0"),
+    ("stability", "0.1,nan", "sv_prior_step", "h must be finite and > 0"),
+    ("complexity", "10,0", "simulate", "K must be an integer >= 1"),
+])
+def test_sweep_refuses_a_bad_point_before_its_first_point(
+        monkeypatch, tmp_path, capsys, experiment, sweep, first_point_work, refusal):
+    # the first point is fine, a later one is not: the first point's work
+    # never starts
+    calls = []
+    work = getattr(harness, first_point_work)
+
+    def counting(*args):
+        calls.append(args)
+        return work(*args)
+
+    monkeypatch.setattr(harness, first_point_work, counting)
+    out = tmp_path / "out"
+    assert main([experiment, "--sweep", sweep, "--out", str(out)]) == EXIT_SETUP
+    assert refusal in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 

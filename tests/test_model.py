@@ -8,7 +8,6 @@ from fcshmc.model import (
     ExperimentParams,
     intensity,
     psf,
-    sample_measurements,
     sample_prior_trajectory,
     signal,
     simulate,
@@ -197,33 +196,6 @@ def test_prior_covariance_matches_pinned_walk():
     # time is 30x smaller than everything else, need far more samples)
     assert np.max(np.abs(np.diag(cov) / np.diag(expect) - 1.0)) < 0.03
     assert np.max(np.abs(cov[1:, 1:] / expect[1:, 1:] - 1.0)) < 0.03
-
-
-# -- measurements ------------------------------------------------------------
-
-
-def test_measurements_mean_tracks_signal():
-    w = sample_measurements(RandomStream(0, 2), np.full(100_000, 4.59))
-    assert abs(w.mean() - 4.59) < 0.05
-
-
-def test_measurements_background_only_mostly_dark():
-    w = sample_measurements(RandomStream(1, 2), np.full(100_000, 0.09))
-    assert np.mean(w == 0) > 0.91  # e^-0.09 = 0.9139
-
-
-def test_measurements_reject_nonpositive_signal():
-    with pytest.raises(ValueError):
-        sample_measurements(RandomStream(0, 0), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        sample_measurements(RandomStream(0, 0), np.array([]))
-
-
-def test_measurements_reproducible():
-    u = np.full(50, 2.0)
-    a = sample_measurements(RandomStream(7, 3), u)
-    b = sample_measurements(RandomStream(7, 3), u)
-    assert np.array_equal(a, b)
 
 
 # -- ancestral simulation ----------------------------------------------------

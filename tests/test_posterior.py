@@ -17,7 +17,6 @@ from fcshmc.posterior import (
     Scheme,
     build_laplacian,
     cfl_certificate,
-    dead_time_coupling,
     exposure_block_eigenvalues,
     exposure_coupling,
     grad_v,
@@ -138,8 +137,12 @@ def test_laplacian_rows_sum_to_zero():
 def test_laplacian_splits_into_unit_coupling_parts():
     p = ExperimentParams(N=3, K=4)
     whole = build_laplacian(p).to_dense()
-    parts = (dead_time_coupling(p).to_dense() / p.tau_dead
-             + exposure_coupling(p).to_dense() / p.tau_sub)
+    # the dead links' unit-coupling Laplacian: link j joins nodes j and j+1,
+    # and each window starts with one dead link
+    dead = np.zeros((p.node_count, p.node_count))
+    for j in range(0, p.node_count - 1, p.K + 1):
+        dead[j:j + 2, j:j + 2] += [[-1.0, 1.0], [1.0, -1.0]]
+    parts = dead / p.tau_dead + exposure_coupling(p).to_dense() / p.tau_sub
     assert np.array_equal(whole, parts)
 
 
