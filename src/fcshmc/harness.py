@@ -6,11 +6,12 @@ file, and returns its numerical results so callers (tests, demo scripts)
 need not re-parse the CSVs.  The shared runner (:func:`_experiment`) owns
 the output directory and the files of a run, the stamp and the wall timer,
 and registers the experiment in :data:`EXPERIMENTS` with its defaults, which
-list only the config keys it reads.  Experiments that compare the HMC
-schemes run each ``Scheme`` in definition order and take its proposal
-driver from ``sampler.proposal_driver``; a one-step map is the driver at
-L = 1.  A sweep experiment builds every point's records before its first
-point, so a bad point is refused before any work.
+list only the config keys it reads.  An experiment that steps an HMC
+scheme takes its proposal driver from ``sampler.proposal_driver``, and
+one that compares the schemes runs each ``Scheme`` in definition order; a
+scheme's one-step map is its driver at L = 1.  A sweep experiment builds
+every point's records before its first point, so a bad point is refused
+before any work.
 
 Reproducibility: a single seed drives everything.  Substreams are derived
 per role (data, inits, chains) and per sweep point with fixed stream ids, so
@@ -34,7 +35,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .integrators import PhaseState, midpoint_systems, sv_full_step, sv_prior_step
+from .integrators import PhaseState, midpoint_systems, sv_prior_step
 from .model import ExperimentParams, Simulation, _validate, sample_prior_trajectory, simulate
 from .posterior import (
     CflCertificate,
@@ -376,7 +377,7 @@ def exp_infer(config: ExperimentConfig, write):
                       "explicit chain may reject almost everything", stacklevel=3)
     # the split chain's midpoint systems, built (or refused) before any chain
     # runs; the chain finds them in the problem's cache
-    midpoint_systems(problem, h, h.L)
+    midpoint_systems(problem, h)
     chains: dict = {}
     for offset, scheme in enumerate(Scheme):
         hmc = replace(h, scheme=scheme)
@@ -402,17 +403,22 @@ class CertifyResult:
 
 @_experiment(CertifyResult)
 def exp_certify(config: ExperimentConfig, write):
-    """Evaluate the explicit-scheme step certificate and Verlet bounds for this config."""
+    """Evaluate the explicit-scheme step certificate and Verlet bounds for this config.
+
+    The requested step is judged stable below the prior subsystem's Verlet
+    bound (weight theta), not below the certificate's h_max."""
     p, h = config.params, config.hmc
     cert = cfl_certificate(p, h)
+    h_bound = verlet_step_bound(p, h.theta)
+    stable = h.h < h_bound
     lines = [
         f"surrogate oscillator frequency c = {cert.c:.6g}",
         f"certified step bound h_max = 2/c = {cert.h_max:.6g}",
-        f"requested step h = {cert.h:.6g} -> {'stable' if cert.stable else 'UNSTABLE'}",
-        f"Verlet step bound h_bound = {verlet_step_bound(p, h.theta):.6g} (prior, weight "
+        f"Verlet step bound h_bound = {h_bound:.6g} (prior, weight "
         f"theta), {verlet_step_bound(p, 1.0):.6g} (explicit chain, weight 1)",
+        f"requested step h = {h.h:.6g} -> {'stable' if stable else 'UNSTABLE'}",
     ]
-    write(["c", "h_max", "h", "stable"], [(cert.c, cert.h_max, cert.h, int(cert.stable))])
+    write(["c", "h_max", "h", "stable"], [(cert.c, cert.h_max, h.h, int(stable))])
     return dict(certificate=cert, report="\n".join(lines)), {}
 
 
@@ -460,13 +466,14 @@ def exp_surrogate(config: ExperimentConfig, write):
     edge; the prior subsystem is the cheap surrogate for the full map.
     """
     p, h0 = config.params, config.hmc
-    hmcs = [replace(h0, h=float(h_val)) for h_val in config.sweep]
+    hmcs = [replace(h0, h=float(h_val), L=1) for h_val in config.sweep]  # single steps
     sim = simulate(RandomStream(h0.seed, _SID_DATA), p)
     problem = PosteriorProblem(p, counts=sim.counts)
     init = _prior_draw(config)
+    full_step = proposal_driver(Scheme.SVEX)
     rows = []
     for hmc in hmcs:
-        b_full = _max_q_norm(init, lambda s: sv_full_step(s, problem, hmc), h0.L)
+        b_full = _max_q_norm(init, lambda s: full_step(s, problem, hmc), h0.L)
         b_prior = _max_q_norm(init, lambda s: sv_prior_step(s, problem, hmc), h0.L)
         rows.append((hmc.h, b_full, b_prior))
     write(["h", "b_full", "b_prior"], rows)

@@ -1,4 +1,4 @@
-"""Symplectic one-step maps and L-step proposal integrators.
+"""Symplectic subsystem maps and the HMC schemes' L-step proposal drivers.
 
 All maps act on (q, p) phase states over the flat mesh and leave the pinned
 anchor slot untouched: q[0] stays at its input value (zero in sampling use)
@@ -6,27 +6,24 @@ and p[0] is never kicked or drifted, so the maps are symplectic on the 2(M-1)
 dimensional active phase space.
 
 Explicit maps are Stormer-Verlet (half kick, drift, half kick) against either
-the full potential, the likelihood alone, or the prior alone; the drift
-coefficient is h times the kinetic split weight of the corresponding
-subsystem (1, 1 - theta or theta; momenta have unit mass).
+the full potential (in ``svex_l_steps``), the likelihood alone, or the prior
+alone; the drift coefficient is h times the kinetic split weight of the
+corresponding subsystem (1, 1 - theta or theta; momenta have unit mass).
 The prior subsystem is linear, so its implicit midpoint map reduces to two
 tridiagonal solves with a fixed matrix; ``MidpointSystem`` holds the
 prefabricated operators for one (problem, theta, h), each a symmetric
 ``TridiagonalOperator`` with two bands (off-diagonal and diagonal).
 
-Two loops do all the stepping, each merging the adjacent half maps of
-consecutive steps: ``_leapfrog`` Verlet's paired half kicks (steps + 1
-gradient evaluations), ``_strang`` the Strang composition's paired half
-midpoint maps (steps - 1 interior full midpoint steps and two boundary
-halves).  A single step has nothing to merge, so each one-step map is its
-loop at steps = 1.  Each wrapper passes its own drift coefficient; the
-wrappers and ``_strang`` look up at call time the names the benchmark
-traces.
-
-The HMC schemes' one dispatch is ``sampler.proposal_driver``, which gives
-each ``Scheme`` its L-step driver here; a one-step map is its driver at
-L = 1.  ``midpoint_systems`` is the one place that says which midpoint
-systems a split run of some steps uses.
+Each HMC scheme is one L-step driver: ``svex_l_steps`` (Verlet on the full
+Hamiltonian) and ``imex_l_steps`` (the Strang split).  Each merges the
+adjacent half maps of consecutive steps: ``_leapfrog`` Verlet's paired half
+kicks (steps + 1 gradient evaluations), ``imex_l_steps`` the Strang
+composition's paired half midpoint maps (L - 1 interior full midpoint steps
+and two boundary halves).  A single step has nothing to merge, so a scheme's
+one-step map is its driver at L = 1.  The drivers look up at call time the
+names the benchmark traces.  ``sampler.proposal_driver`` gives each
+``Scheme`` its driver; ``midpoint_systems`` is the one place that says which
+midpoint systems a split run uses.
 
 ``_leapfrog`` and the midpoint map copy their input state once, update the
 copies in place and return them, wrapped by ``_state``.
@@ -51,12 +48,10 @@ from .tridiag import SingularSystemError, TridiagonalOperator, thomas_solve, tri
 __all__ = [
     "PhaseState",
     "MidpointSystem",
-    "sv_full_step",
     "sv_likelihood_step",
     "sv_prior_step",
     "midpoint_prior_step",
     "midpoint_systems",
-    "imex_step",
     "imex_l_steps",
     "svex_l_steps",
 ]
@@ -109,11 +104,6 @@ def _leapfrog(state, gradient, problem, h, drift, steps):
     g *= kick
     pa -= g[1:]
     return _state(q, p)
-
-
-def sv_full_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
-    """Verlet step for the complete Hamiltonian (kinetic weight 1)."""
-    return _leapfrog(state, posterior.grad_v, problem, hmc.h, hmc.h, 1)
 
 
 def sv_likelihood_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
@@ -184,12 +174,12 @@ def _midpoint_system(problem: PosteriorProblem, hmc: HmcParams, h: float) -> Mid
     return sys
 
 
-def midpoint_systems(problem: PosteriorProblem, hmc: HmcParams, steps: int):
-    """(half, full): the midpoint systems of ``steps`` Strang steps, at h/2
-    and, when steps > 1, at h (else None), built or refused
+def midpoint_systems(problem: PosteriorProblem, hmc: HmcParams):
+    """(half, full): the midpoint systems of an L-step split run, at h/2
+    and, when L > 1, at h (else None), built or refused
     (``SingularSystemError``) on first use and cached on the problem."""
     half = _midpoint_system(problem, hmc, 0.5 * hmc.h)
-    return half, (_midpoint_system(problem, hmc, hmc.h) if steps > 1 else None)
+    return half, (_midpoint_system(problem, hmc, hmc.h) if hmc.L > 1 else None)
 
 
 def midpoint_prior_step(state: PhaseState, system: MidpointSystem) -> PhaseState:
@@ -208,34 +198,23 @@ def midpoint_prior_step(state: PhaseState, system: MidpointSystem) -> PhaseState
     return _state(q, p)
 
 
-def _strang(state, problem, hmc, steps):
-    """``steps`` Strang steps with interior half midpoints merged into full
-    ones; a single step neither builds nor caches the full-step system."""
-    half, full = midpoint_systems(problem, hmc, steps)
-    st = midpoint_prior_step(state, half)
-    st = sv_likelihood_step(st, problem, hmc)
-    for _ in range(steps - 1):
-        st = midpoint_prior_step(st, full)
-        st = sv_likelihood_step(st, problem, hmc)
-    return midpoint_prior_step(st, half)
-
-
-def imex_step(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
-    """One Strang step: half midpoint (prior), full Verlet (likelihood),
-    half midpoint (prior)."""
-    return _strang(state, problem, hmc, 1)
-
-
 def imex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:
     """L Strang steps with interior half midpoints merged into full ones.
 
     Runs exactly L likelihood Verlet steps, L-1 interior midpoint steps of
-    size h, and two boundary midpoint steps of size h/2.  Merging the half
-    maps changes each interior step by O(h^3) (the midpoint map is not a flow,
-    so two half steps are not bitwise one full step) but keeps the same order
-    of accuracy at half the implicit-solve cost.
+    size h, and two boundary midpoint steps of size h/2; at L = 1, one
+    Strang step, it neither builds nor caches the full-step system.  Merging
+    the half maps changes each interior step by O(h^3) (the midpoint map is
+    not a flow, so two half steps are not bitwise one full step) but keeps
+    the same order of accuracy at half the implicit-solve cost.
     """
-    return _strang(state, problem, hmc, hmc.L)
+    half, full = midpoint_systems(problem, hmc)
+    st = midpoint_prior_step(state, half)
+    st = sv_likelihood_step(st, problem, hmc)
+    for _ in range(hmc.L - 1):
+        st = midpoint_prior_step(st, full)
+        st = sv_likelihood_step(st, problem, hmc)
+    return midpoint_prior_step(st, half)
 
 
 def svex_l_steps(state: PhaseState, problem: PosteriorProblem, hmc: HmcParams) -> PhaseState:

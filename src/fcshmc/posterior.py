@@ -372,13 +372,12 @@ class CflCertificate:
     c = sqrt(theta / (D tau_sub)) is the frequency of the theta-weighted
     submesh coupling alone, and h_max = 2/c (acceptance check 5 pins it).
     It leaves out the dead links, so it can overstate the explicit edge;
-    ``verlet_step_bound`` is the bound that holds on every mesh.
+    ``verlet_step_bound`` is the bound that holds on every mesh, and the
+    one ``certify`` judges a step by.
     """
 
     c: float
     h_max: float
-    h: float
-    stable: bool
 
 
 def cfl_certificate(params: ExperimentParams, hmc: HmcParams) -> CflCertificate:
@@ -386,4 +385,4 @@ def cfl_certificate(params: ExperimentParams, hmc: HmcParams) -> CflCertificate:
         raise ValueError("certificate requires D > 0")
     c = math.sqrt(hmc.theta / (params.D * params.tau_sub))
     h_max = 2.0 / c if c > 0 else math.inf
-    return CflCertificate(c=c, h_max=h_max, h=hmc.h, stable=hmc.h < h_max)
+    return CflCertificate(c=c, h_max=h_max)

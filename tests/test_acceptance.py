@@ -8,6 +8,7 @@ the test fails and the printed line carries the measured value.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,11 +33,11 @@ from fcshmc.harness import (
 from fcshmc.integrators import (
     MidpointSystem,
     PhaseState,
-    imex_step,
+    imex_l_steps,
     midpoint_prior_step,
-    sv_full_step,
     sv_likelihood_step,
     sv_prior_step,
+    svex_l_steps,
 )
 from fcshmc.model import ExperimentParams, simulate, time_mesh
 from fcshmc.posterior import (
@@ -118,7 +119,7 @@ def test_criterion_03_gradients_match_finite_differences():
 def test_criterion_04_symplectic_and_reversible_one_step_maps():
     p = ExperimentParams(N=2, K=2)
     problem = PosteriorProblem(p, counts=simulate(RandomStream(5, 1), p).counts)
-    hmc = HmcParams(h=0.012, theta=0.5)
+    hmc = HmcParams(h=0.012, theta=0.5, L=1)  # the schemes' drivers at L = 1
     system = MidpointSystem.build(problem, hmc, hmc.h)
     m = p.node_count
     q0 = 0.05 * RandomStream(5, 2).standard_normals(m)
@@ -130,11 +131,11 @@ def test_criterion_04_symplectic_and_reversible_one_step_maps():
         return lambda q, mom: (lambda s: (s.q, s.p))(step(PhaseState(q=q, p=mom)))
 
     maps = {
-        "sv_full": as_pair(lambda s: sv_full_step(s, problem, hmc)),
+        "sv_full": as_pair(lambda s: svex_l_steps(s, problem, hmc)),
         "sv_likelihood": as_pair(lambda s: sv_likelihood_step(s, problem, hmc)),
         "sv_prior": as_pair(lambda s: sv_prior_step(s, problem, hmc)),
         "midpoint": as_pair(lambda s: midpoint_prior_step(s, system)),
-        "imex": as_pair(lambda s: imex_step(s, problem, hmc)),
+        "imex": as_pair(lambda s: imex_l_steps(s, problem, hmc)),
     }
     omega = canonical_form(m - 1)
     defects, reversals = {}, {}
@@ -177,9 +178,10 @@ def test_criterion_06_split_scheme_energy_on_posterior_at_large_step():
     state = PhaseState(q=sim.trajectory.copy(),
                        p=draw_momentum(RandomStream(0, 3), p.node_count))
     h0 = hamiltonian(state.q, state.p, problem, hmc)
+    one_step = replace(hmc, L=1)  # the driver at L = 1 is one Strang step
     ratio = 1.0
     for _ in range(hmc.L):
-        state = imex_step(state, problem, hmc)
+        state = imex_l_steps(state, problem, one_step)
         h_now = hamiltonian(state.q, state.p, problem, hmc)
         if not math.isfinite(h_now):
             ratio = math.inf

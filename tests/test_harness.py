@@ -640,6 +640,21 @@ def test_cli_certify_reports_the_run_params_bound(tmp_path, capsys):
     assert "0.0526235" not in report.out
 
 
+@pytest.mark.parametrize("args, verdict", [
+    (["--h", "0.1"], "UNSTABLE"),  # under h_max = 0.134, past the prior's bound 0.0526
+    ([], "stable"),  # the default h = 0.05
+    (["--theta", "0", "--h", "5"], "stable"),  # no prior weight, no prior edge
+])
+def test_cli_certify_judges_the_step_by_the_verlet_bound(tmp_path, capsys, args, verdict):
+    # explicit prior steps at h = 0.1 blow up (acceptance check 5), so the
+    # verdict follows verlet_step_bound at weight theta, not the certificate
+    assert main(["certify", *args, "--out", str(tmp_path)]) == EXIT_OK
+    assert f" -> {verdict}\n" in capsys.readouterr().out
+    (path,) = tmp_path.glob("certify_*.csv")
+    _, rows = read_rows(path)
+    assert rows[0][3] == str(int(verdict == "stable"))
+
+
 def test_cli_simulate_seed_determinism(tmp_path, capsys):
     for sub in ("a", "b"):
         assert main(["simulate", "--seed", "7", "--N", "3", "--K", "2",

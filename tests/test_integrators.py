@@ -13,9 +13,7 @@ from fcshmc.integrators import (
     MidpointSystem,
     PhaseState,
     imex_l_steps,
-    imex_step,
     midpoint_prior_step,
-    sv_full_step,
     sv_likelihood_step,
     sv_prior_step,
     svex_l_steps,
@@ -49,6 +47,22 @@ def random_state(problem, seed=5, scale=0.05):
     q[0] = 0.0
     p = RandomStream(seed, 3).standard_normals(m)
     return PhaseState(q=q, p=p)
+
+
+def at_one_step(driver):
+    """A scheme's one-step map: its L-step driver at L = 1."""
+    def step(state, problem, hmc):
+        return driver(state, problem, dataclasses.replace(hmc, L=1))
+    step.__name__ = f"{driver.__name__}_at_L1"
+    return step
+
+
+svex_one_step = at_one_step(svex_l_steps)
+imex_one_step = at_one_step(imex_l_steps)
+# the one-step maps, and the drivers at L > 1, whose merged half steps HMC's
+# detailed balance relies on
+_STEP_MAPS = (svex_one_step, sv_likelihood_step, sv_prior_step, imex_one_step,
+              svex_l_steps, imex_l_steps)
 
 
 def soft_problem():
@@ -221,9 +235,7 @@ def test_maps_return_frozen_states_of_fresh_arrays():
     hmc = HmcParams(h=0.05, L=3)
     st = random_state(problem)
     half = MidpointSystem.build(problem, hmc, 0.5 * hmc.h)
-    outs = [step(st, problem, hmc) for step in (sv_full_step, sv_likelihood_step,
-                                                  sv_prior_step, imex_step,
-                                                  imex_l_steps, svex_l_steps)]
+    outs = [step(st, problem, hmc) for step in _STEP_MAPS]
     outs.append(midpoint_prior_step(st, half))
     for out in outs:
         assert type(out) is PhaseState
@@ -239,7 +251,7 @@ def test_full_step_free_flight(monkeypatch):
     monkeypatch.setattr(fcshmc.posterior, "grad_v", lambda q, _: np.zeros_like(q))
     hmc = HmcParams(h=0.3)
     st = random_state(problem)
-    out = sv_full_step(st, problem, hmc)
+    out = svex_one_step(st, problem, hmc)
     expect_q = st.q.copy()
     expect_q[1:] += 0.3 * st.p[1:]
     assert np.array_equal(out.q, expect_q)
@@ -248,9 +260,9 @@ def test_full_step_free_flight(monkeypatch):
 
 def test_all_maps_fix_the_origin():
     problem = small_problem()
-    hmc = HmcParams(h=0.05, theta=0.5)
+    hmc = HmcParams(h=0.05, theta=0.5, L=3)
     zero = PhaseState(q=np.zeros(problem.node_count), p=np.zeros(problem.node_count))
-    for step in (sv_full_step, sv_likelihood_step, sv_prior_step, imex_step):
+    for step in _STEP_MAPS:
         out = step(zero, problem, hmc)
         assert np.array_equal(out.q, zero.q)
         assert np.array_equal(out.p, zero.p)
@@ -258,11 +270,11 @@ def test_all_maps_fix_the_origin():
 
 def test_anchor_slot_is_frozen():
     problem = small_problem()
-    hmc = HmcParams(h=0.012)
+    hmc = HmcParams(h=0.012, L=3)
     st = random_state(problem)
     st.q[0] = 0.4  # nonzero anchor must pass through untouched
     st.p[0] = -1.2
-    for step in (sv_full_step, sv_likelihood_step, sv_prior_step, imex_step):
+    for step in _STEP_MAPS:
         out = step(st, problem, hmc)
         assert out.q[0] == st.q[0]
         assert out.p[0] == st.p[0]
@@ -270,13 +282,30 @@ def test_anchor_slot_is_frozen():
 
 def test_momentum_flip_reversibility():
     problem = small_problem()
-    hmc = HmcParams(h=0.012, theta=0.5)
+    hmc = HmcParams(h=0.012, theta=0.5, L=3)
     st = random_state(problem)
-    for step in (sv_full_step, sv_likelihood_step, sv_prior_step, imex_step):
+    for step in _STEP_MAPS:
         fwd = step(st, problem, hmc)
         back = step(PhaseState(q=fwd.q, p=-fwd.p), problem, hmc)
         assert np.max(np.abs(back.q - st.q)) < 1e-12
         assert np.max(np.abs(back.p + st.p)) < 1e-12
+
+
+def test_drivers_are_symplectic_over_several_steps():
+    # acceptance check 4 covers single steps; a driver at L = 3 also runs
+    # the merged half kicks and the merged midpoint maps (M = 7)
+    problem = small_problem()
+    hmc = HmcParams(h=0.012, theta=0.5, L=3)
+    st = random_state(problem)
+    st.p[0] = 0.0
+    omega = _oracles.canonical_form(problem.node_count - 1)
+    for driver in (svex_l_steps, imex_l_steps):
+        def as_pair(q, p):
+            out = driver(PhaseState(q=q, p=p), problem, hmc)
+            return out.q, out.p
+
+        jac = _oracles.phase_space_jacobian(as_pair, st.q, st.p)
+        assert np.max(np.abs(jac.T @ omega @ jac - omega)) < 1e-5, driver
 
 
 def test_likelihood_step_theta_one_freezes_positions():
@@ -385,14 +414,11 @@ def test_midpoint_stable_far_beyond_explicit_limit():
 # -- L-step drivers ----------------------------------------------------------
 
 
-def test_imex_single_step_is_one_strang_step():
+def test_single_split_step_builds_no_full_step_system():
     problem = small_problem()
     hmc = HmcParams(h=0.012, L=1)
-    st = random_state(problem, seed=13)
-    a = imex_step(st, problem, hmc)
-    b = imex_l_steps(st, problem, hmc)
-    assert np.array_equal(a.q, b.q)
-    assert np.array_equal(a.p, b.p)
+    imex_l_steps(random_state(problem), problem, hmc)
+    assert [key[1] for key in problem._cache if key[0] == "midpoint"] == [0.5 * hmc.h]
 
 
 def test_imex_telescoping_matches_repeated_steps_on_soft_mesh():
@@ -404,7 +430,7 @@ def test_imex_telescoping_matches_repeated_steps_on_soft_mesh():
     merged = imex_l_steps(st, problem, hmc)
     naive = st
     for _ in range(hmc.L):
-        naive = imex_step(naive, problem, hmc)
+        naive = imex_one_step(naive, problem, hmc)
     assert np.max(np.abs(merged.q - naive.q)) < 1e-12
     assert np.max(np.abs(merged.p - naive.p)) < 1e-12
 
@@ -436,31 +462,22 @@ def test_svex_matches_naive_leapfrog_composition():
     merged = svex_l_steps(st, problem, hmc)
     naive = st
     for _ in range(hmc.L):
-        naive = sv_full_step(naive, problem, hmc)
+        naive = svex_one_step(naive, problem, hmc)
     assert np.max(np.abs(merged.q - naive.q)) < 1e-12
     assert np.max(np.abs(merged.p - naive.p)) < 1e-12
 
 
-def test_svex_single_step_is_one_verlet_step():
-    problem = small_problem()
-    hmc = HmcParams(h=0.012, L=1)
-    st = random_state(problem, seed=13)
-    a = sv_full_step(st, problem, hmc)
-    b = svex_l_steps(st, problem, hmc)
-    assert np.array_equal(a.q, b.q)
-    assert np.array_equal(a.p, b.p)
-
-
 # sha256(q bytes + p bytes) of each public map's output at unit mass, recorded
-# while the maps still took a scalar mass.  theta = 0.3 keeps every
+# while the maps still took a scalar mass; an ``_at_L1`` key is a scheme's
+# one-step map, its driver at L = 1.  theta = 0.3 keeps every
 # theta-dependent coefficient form (h (1 - theta), h theta, theta h and
 # theta h^2 / 8D) pinned.
 _MAP_DIGESTS = {
-    "sv_full_step": "d2a361d9e0a011b59b6b1cbf662853a22468810de5d039d48fc3d8cc764dfa4f",
+    "svex_l_steps_at_L1": "d2a361d9e0a011b59b6b1cbf662853a22468810de5d039d48fc3d8cc764dfa4f",
     "sv_likelihood_step": "52a551bdc496842d0653a6a33569926ee8b55f99bbe653bacc122821032f8923",
     "sv_prior_step": "5706d30721c4ce9d57ee2e29182e3b2d01493514e5f24d71b410ea6c95167a36",
     "svex_l_steps": "decf144a63cfa691c330f909486128848643574614b8427068ab2987e59c9687",
-    "imex_step": "d88b8b7716587e64ad0227a3c1f0a2192e751a5f839e06b89e63d6c57180ea8c",
+    "imex_l_steps_at_L1": "d88b8b7716587e64ad0227a3c1f0a2192e751a5f839e06b89e63d6c57180ea8c",
     "imex_l_steps": "6bc385f06c1c1b623767fe3be3b9b20402c39f3b498d56cc261423383b98d61d",
 }
 
@@ -470,8 +487,7 @@ def test_maps_match_digests():
     hmc = HmcParams(h=0.02, L=5, theta=0.3)
     st = random_state(problem, seed=23)
     digests = {}
-    for step in (sv_full_step, sv_likelihood_step, sv_prior_step, svex_l_steps,
-                 imex_step, imex_l_steps):
+    for step in _STEP_MAPS:
         out = step(st, problem, hmc)
         assert np.all(np.isfinite(out.q)) and np.all(np.isfinite(out.p))
         digests[step.__name__] = hashlib.sha256(out.q.tobytes() + out.p.tobytes()).hexdigest()
@@ -483,19 +499,19 @@ def test_maps_match_digests():
 # state, theta and L as the digests above).
 _MASS_MAP_SUMS = {
     1.3: {
-        "sv_full_step": (-5.650906273713461, -179.51819444219456),
+        "svex_l_steps_at_L1": (-5.650906273713461, -179.51819444219456),
         "sv_likelihood_step": (-4.841684830424281, -183.69886372968477),
         "sv_prior_step": (-3.7065052476999183, -179.31221100304657),
         "svex_l_steps": (-16.53836892965701, -181.6696774097911),
-        "imex_step": (-5.651255904580835, -179.47439607322423),
+        "imex_l_steps_at_L1": (-5.651255904580835, -179.47439607322423),
         "imex_l_steps": (-16.535489840602022, -181.45136261942574),
     },
     1.9: {
-        "sv_full_step": (-4.773724204353435, -179.42271303700724),
+        "svex_l_steps_at_L1": (-4.773724204353435, -179.42271303700724),
         "sv_likelihood_step": (-4.220046374734523, -183.69664127047204),
         "sv_prior_step": (-3.4433445549757478, -179.2844019260433),
         "svex_l_steps": (-12.150027248901635, -178.5290617507659),
-        "imex_step": (-4.773888639864908, -179.39359000200636),
+        "imex_l_steps_at_L1": (-4.773888639864908, -179.39359000200636),
         "imex_l_steps": (-12.150843312789181, -178.30092963428112),
     },
 }
@@ -512,8 +528,7 @@ def test_maps_match_digests_off_unit_mass(mass):
     st = random_state(problem, seed=23)
     st = PhaseState(q=st.q, p=st.p / scale)
     w = np.arange(1.0, problem.node_count + 1)
-    for step in (sv_full_step, sv_likelihood_step, sv_prior_step, svex_l_steps,
-                 imex_step, imex_l_steps):
+    for step in _STEP_MAPS:
         out = step(st, problem, hmc)
         sums = (float(out.q @ w), float(scale * out.p @ w))
         assert sums == pytest.approx(_MASS_MAP_SUMS[mass][step.__name__], rel=1e-13), step
